@@ -22,9 +22,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .coupling import CouplingFamily
+from .coupling import EXPLICIT_SIZE_CAP, CouplingFamily, check_size_cap, subsets
 from .monoid import WeightMonoid, sample_dyadic
 from .multiindex import MultiIndex, as_multiindex, iter_multiindices, norm
 from .oracle import (
@@ -373,6 +374,18 @@ def oracle_from_basis(bf: BasisFamily, x: float, inputs: Sequence[NeighborInput]
     return math.fsum(terms)
 
 
+@lru_cache(maxsize=None)
+def _direct_weight(
+    big_k: MultiIndex, norms: MultiIndex, r_counts: MultiIndex, denom: int
+) -> float | None:
+    """The exact weight prod_j C(K_j, |M_j|, r_j) / prod(M_c) of the direct
+    formula as a float, or None when it is zero."""
+    weight = Fraction(1, denom)
+    for k, m, r in zip(big_k, norms, r_counts):
+        weight *= coefficient_c(k, m, r)
+    return float(weight) if weight else None
+
+
 def basis_from_oracle_direct(
     oracle: OracleComponent,
     bound: Sequence[int],
@@ -393,8 +406,11 @@ def basis_from_oracle_direct(
     vectors M >= 1 of s' staying within the bound, weighted by
     (-1)^(|s|+|M|) / prod(M_c) and the per-type coefficients
     C(K_j, |M_j|, r_j), where r_j counts the type-j inputs left out of s'.
+    Neighborhoods larger than EXPLICIT_SIZE_CAP are refused before any
+    evaluation.
     """
     inputs = tuple(inputs)
+    check_size_cap(inputs, EXPLICIT_SIZE_CAP)
     big_k = as_multiindex(bound)
     if len(big_k) != oracle.n_types:
         raise ValueError(f"bound has tupleness {len(big_k)}, expected {oracle.n_types}")
@@ -404,23 +420,17 @@ def basis_from_oracle_direct(
 
     n = len(inputs)
     terms = []
-    for mask in range(1 << n):
-        subset = tuple(inputs[i] for i in range(n) if mask >> i & 1)
-        left_out = [inputs[i] for i in range(n) if not mask >> i & 1]
-        r_counts = type_multiindex(tuple(left_out), oracle.n_types)
+    for subset in subsets(inputs):
+        r_counts = tuple(a - b for a, b in zip(k_s, type_multiindex(subset, oracle.n_types)))
         for big_m in _iter_expansions(subset, oracle.n_types, big_k, [1] * len(subset)):
-            weight = Fraction(1)
-            for e in big_m:
-                weight /= e
             per_type_norm = [0] * oracle.n_types
             for e, entry in zip(big_m, subset):
                 per_type_norm[entry.type_index - 1] += e
-            for j in range(oracle.n_types):
-                weight *= coefficient_c(big_k[j], per_type_norm[j], r_counts[j])
-            if not weight:
+            weight = _direct_weight(big_k, tuple(per_type_norm), r_counts, math.prod(big_m))
+            if weight is None:
                 continue
             sign = -1.0 if norm(big_m) % 2 else 1.0
-            terms.append(sign * float(weight) * oracle.evaluate(x, expand(big_m, subset)))
+            terms.append(sign * weight * oracle.evaluate(x, expand(big_m, subset)))
     value = (-1.0 if n % 2 else 1.0) * math.fsum(terms)
 
     if cross_check:

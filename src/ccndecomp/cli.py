@@ -15,15 +15,20 @@ from pathlib import Path
 
 from .basis import BasisFamily, basis_family_check, basis_from_oracle_direct
 from .coupling import (
+    EXPLICIT_SIZE_CAP,
     CouplingFamily,
-    coupling_eval_explicit,
+    check_size_cap,
+    coupling_components,
     coupling_family_check,
     coupling_order,
     locally_maximal_orders,
+    subsets,
 )
 from .network import DivergenceError, integrate_rk4, parse_network
 from .oracle import (
+    CellSpec,
     NeighborInput,
+    OracleComponent,
     PolynomialOracle,
     SpecFormatError,
     admissibility_check,
@@ -50,13 +55,57 @@ def _write(doc, out_path: str | None) -> None:
 
 
 def _parse_inputs(raw) -> tuple[NeighborInput, ...]:
+    if not isinstance(raw, list):
+        raise SpecFormatError(f"'neighborhood' must be a list, got {type(raw).__name__}")
     out = []
     for entry in raw:
-        w = entry["weight"]
-        if isinstance(w, list):
-            w = tuple(w)
-        out.append(NeighborInput(int(entry["type"]), w, float(entry["state"])))
+        try:
+            w = entry["weight"]
+            if isinstance(w, list):
+                w = tuple(w)
+            out.append(NeighborInput(int(entry["type"]), w, float(entry["state"])))
+        except KeyError as missing:
+            raise SpecFormatError(f"neighborhood entry is missing {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise SpecFormatError(f"bad neighborhood entry {entry!r}: {exc}") from None
     return tuple(out)
+
+
+def _parse_points(doc, path: str) -> list[tuple[float, CellSpec]]:
+    """(x, inputs) of every point in a points document: {"points": [...]},
+    a list of points, or a single point object."""
+    if isinstance(doc, dict):
+        doc = doc.get("points", [doc])
+    if not isinstance(doc, list):
+        raise SpecFormatError(f"{path}: expected a list of points")
+    points = []
+    for i, p in enumerate(doc):
+        try:
+            if not isinstance(p, dict):
+                raise SpecFormatError(f"point must be an object, got {p!r}")
+            points.append((float(p.get("x", 0.0)), _parse_inputs(p.get("neighborhood", []))))
+        except (TypeError, ValueError) as exc:
+            raise SpecFormatError(f"{path}: point {i}: {exc}") from None
+    return points
+
+
+class _PointMemo(OracleComponent):
+    """Evaluations of ``oracle`` at one cell state, remembered by input
+    tuple.  The expanded neighborhoods of a point's subsets repeat, and an
+    expanded tuple stands for one multiplicity vector over the point's
+    inputs, so each distinct vector is evaluated once."""
+
+    def __init__(self, oracle: OracleComponent) -> None:
+        self.oracle = oracle
+        self.target_type, self.n_types, self.f0 = oracle.target_type, oracle.n_types, oracle.f0
+        self.values: dict[CellSpec, float] = {}
+
+    def evaluate(self, x: float, inputs) -> float:
+        inputs = tuple(inputs)
+        value = self.values.get(inputs)
+        if value is None:
+            value = self.values[inputs] = self.oracle.evaluate(x, inputs)
+        return value
 
 
 def cmd_verify(args) -> int:
@@ -101,17 +150,21 @@ def cmd_verify(args) -> int:
 
 
 def _decompose_point(oracle, x, inputs, to, bound):
-    n = len(inputs)
+    """Components at every nonempty subset of one point, grouped by type
+    multi-index in increasing bitmask order.  Coupling costs 2^n oracle
+    evaluations; basis costs one per distinct multiplicity vector."""
+    if to == "coupling":
+        values = coupling_components(oracle, x, inputs)
+        internal = values[0]  # the empty subset: the isolated-cell response
+    else:
+        memo = _PointMemo(oracle)
+        values = [basis_from_oracle_direct(memo, bound, x, subset) if subset else None
+                  for subset in subsets(inputs)]
+        internal = oracle.f0(x)
     groups: dict[tuple, list] = {}
-    for mask in range(1, 1 << n):
-        subset = tuple(inputs[i] for i in range(n) if mask >> i & 1)
-        k = type_multiindex(subset, oracle.n_types)
-        if to == "coupling":
-            value = coupling_eval_explicit(oracle, x, subset)
-        else:
-            value = basis_from_oracle_direct(oracle, bound, x, subset)
-        groups.setdefault(k, []).append(value)
-    internal = oracle.evaluate(x, ()) if to == "coupling" else oracle.f0(x)
+    for subset, value in zip(subsets(inputs), values):
+        if subset:
+            groups.setdefault(type_multiindex(subset, oracle.n_types), []).append(value)
     components = [{"k": list(k), "values": groups[k]} for k in sorted(groups)]
     return {
         "x": x,
@@ -136,14 +189,17 @@ def cmd_decompose(args) -> int:
               file=sys.stderr)
         return 2
 
-    points_doc = _load_json(args.points)
-    if isinstance(points_doc, dict):
-        points_doc = points_doc.get("points", [points_doc])
-    points = []
-    for p in points_doc:
-        x = float(p.get("x", 0.0))
-        inputs = _parse_inputs(p.get("neighborhood", []))
-        points.append(_decompose_point(oracle, x, inputs, args.to, bound))
+    parsed = _parse_points(_load_json(args.points), args.points)
+    # Refuse every point that cannot be decomposed before any evaluation.
+    for i, (_, inputs) in enumerate(parsed):
+        try:
+            check_size_cap(inputs, EXPLICIT_SIZE_CAP)
+            k_s = type_multiindex(inputs, oracle.n_types)
+            if args.to == "basis" and not all(a <= b for a, b in zip(k_s, bound)):
+                raise ValueError(f"neighborhood order {k_s} exceeds the declared bound {bound}")
+        except ValueError as exc:
+            raise type(exc)(f"{args.points}: point {i}: {exc}") from None
+    points = [_decompose_point(oracle, x, inputs, args.to, bound) for x, inputs in parsed]
 
     report = {"oracle": specs[0].to_jsonable(), "to": args.to, "points": points}
     if oracle.coeffs is not None:

@@ -7,7 +7,11 @@ all subsets of s.  Summing coupling components over all subsets recovers the
 original response exactly.
 
 Closed forms are available for the structured polynomial family; everything
-else goes through the subset sums with explicit size caps (2^|s| work).
+else goes through the subset sums with explicit size caps.  One component by
+inclusion-exclusion costs 2^|s| evaluations.  All 2^n components of an
+n-input point at once (:func:`coupling_components`) cost 2^n evaluations
+plus n*2^(n-1) exact integer butterflies of the subset Mobius transform,
+instead of 3^n evaluations, and give bit-identical values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .monoid import WeightMonoid, sample_dyadic
 from .multiindex import MultiIndex, iter_multiindices, norm, ones, zero_pattern, zeros
@@ -37,12 +41,18 @@ class SizeCapExceeded(ValueError):
     """Neighborhood too large for the 2^|s| subset enumeration."""
 
 
-def _subsets(inputs: Sequence[NeighborInput]) -> Iterable[tuple[int, CellSpec]]:
-    """All subsets as (popcount, entries), in increasing bitmask order."""
+def subsets(inputs: Sequence[NeighborInput]) -> Iterator[CellSpec]:
+    """Every subset of the inputs in increasing bitmask order: the k-th
+    subset yielded holds inputs[i] for each bit i set in k, in input order."""
     n = len(inputs)
     for mask in range(1 << n):
-        subset = tuple(inputs[i] for i in range(n) if mask >> i & 1)
-        yield len(subset), subset
+        yield tuple(inputs[i] for i in range(n) if mask >> i & 1)
+
+
+def check_size_cap(inputs: Sequence[NeighborInput], max_size: int) -> None:
+    """Refuse a neighborhood too large for exponential subset work."""
+    if len(inputs) > max_size:
+        raise SizeCapExceeded(f"neighborhood of size {len(inputs)} exceeds cap {max_size}")
 
 
 def coupling_eval_explicit(
@@ -54,14 +64,56 @@ def coupling_eval_explicit(
     """Coupling component at the given neighborhood by inclusion-exclusion:
     sum over subsets s' of (-1)^(|s|-|s'|) * oracle(x; s')."""
     inputs = tuple(inputs)
-    if len(inputs) > max_size:
-        raise SizeCapExceeded(f"neighborhood of size {len(inputs)} exceeds cap {max_size}")
+    check_size_cap(inputs, max_size)
     total_size = len(inputs)
     terms = []
-    for size, subset in _subsets(inputs):
-        sign = -1.0 if (total_size - size) % 2 else 1.0
+    for subset in subsets(inputs):
+        sign = -1.0 if (total_size - len(subset)) % 2 else 1.0
         terms.append(sign * oracle.evaluate(x, subset))
     return math.fsum(terms)
+
+
+# Finite values this large could overflow an intermediate partial of fsum,
+# which the exact transform would not reproduce; they take the reference path.
+_EXACT_MAGNITUDE_LIMIT = 2.0 ** 960
+
+
+def coupling_components(
+    oracle: OracleComponent,
+    x: float,
+    inputs: Sequence[NeighborInput],
+    max_size: int = EXPLICIT_SIZE_CAP,
+) -> list[float]:
+    """Coupling components at every subset of the neighborhood, indexed by
+    subset bitmask (the order of :func:`subsets`).
+
+    The oracle is evaluated once per subset; the subset Mobius transform
+    (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto 2007) then runs on
+    the values scaled to integers on one dyadic grid, so every butterfly is
+    exact and each output is rounded once.  Like the fsum in
+    :func:`coupling_eval_explicit`, that is the correctly rounded exact
+    alternating sum, so both agree bit for bit (an exact zero is +0.0 in
+    both).  Non-finite or huge
+    evaluations fall back to :func:`coupling_eval_explicit` per subset, which
+    keeps its values and errors exactly.
+    """
+    inputs = tuple(inputs)
+    check_size_cap(inputs, max_size)
+    values = [float(oracle.evaluate(x, subset)) for subset in subsets(inputs)]
+    if not all(abs(v) < _EXACT_MAGNITUDE_LIMIT for v in values):  # also catches inf, nan
+        return [coupling_eval_explicit(oracle, x, subset, max_size) for subset in subsets(inputs)]
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max(den for _, den in ratios).bit_length() - 1
+    grid = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    size = len(grid)
+    bit = 1
+    while bit < size:
+        for block in range(0, size, 2 * bit):
+            for mask in range(block + bit, block + 2 * bit):
+                grid[mask] -= grid[mask - bit]
+        bit *= 2
+    scale = 1 << shift
+    return [g / scale for g in grid]
 
 
 def coupling_eval_recursive(
@@ -75,8 +127,8 @@ def coupling_eval_recursive(
     memoized over subset bitmasks."""
     inputs = tuple(inputs)
     n = len(inputs)
-    if n > max_size:
-        raise SizeCapExceeded(f"neighborhood of size {n} exceeds cap {max_size}")
+    check_size_cap(inputs, max_size)
+    table = list(subsets(inputs))
     memo: dict[int, float] = {}
 
     def strict_submasks(mask: int) -> Iterable[int]:
@@ -92,8 +144,7 @@ def coupling_eval_recursive(
     def component(mask: int) -> float:
         if mask in memo:
             return memo[mask]
-        subset = tuple(inputs[i] for i in range(n) if mask >> i & 1)
-        value = oracle.evaluate(x, subset) - math.fsum(
+        value = oracle.evaluate(x, table[mask]) - math.fsum(
             component(sub) for sub in strict_submasks(mask)
         )
         memo[mask] = value
@@ -219,14 +270,10 @@ def recompose(
     """Rebuild the whole response as the sum of coupling components over all
     subsets of the neighborhood."""
     inputs = tuple(inputs)
-    if len(inputs) > max_size:
-        raise SizeCapExceeded(f"neighborhood of size {len(inputs)} exceeds cap {max_size}")
+    check_size_cap(inputs, max_size)
     if isinstance(source, CouplingFamily):
-        component = source.component
-    else:
-        def component(px: float, sub: CellSpec) -> float:
-            return coupling_eval_explicit(source, px, sub)
-    return math.fsum(component(x, subset) for _, subset in _subsets(inputs))
+        return math.fsum(source.component(x, subset) for subset in subsets(inputs))
+    return math.fsum(coupling_components(source, x, inputs, max_size))
 
 
 def coupling_family_check(

@@ -114,6 +114,7 @@ def stirling2_sum(n: int, k: int) -> Fraction:
     return Fraction(math.factorial(n), math.factorial(k)) * total
 
 
+@lru_cache(maxsize=None)
 def coefficient_c(big_k: int, m: int, r: int) -> Fraction:
     """Weight C(K, M, r) = r!/(K-M)! * s1_{M+1}(K+1, r+M+1) used by the
     direct basis-from-whole-function transform.

@@ -20,7 +20,7 @@ from ccndecomp.basis import (
     oracle_from_basis,
     truncation_sequence,
 )
-from ccndecomp.coupling import CouplingFamily
+from ccndecomp.coupling import CouplingFamily, SizeCapExceeded
 from ccndecomp.monoid import make_additive_real
 from ccndecomp.oracle import (
     NeighborInput,
@@ -183,6 +183,9 @@ def test_direct_basis_formula_edge_cases():
     assert basis_from_oracle_direct(build_polynomial_single({}, f0=lambda x: 5.0), (0,), 1.0, ()) == 5.0
     with pytest.raises(ValueError):
         basis_from_oracle_direct(p2, (1,), 0.0, (NI(1, 1.0, 1.0), NI(1, 1.0, 1.0)))
+    # more inputs than the size cap: refused before any evaluation
+    with pytest.raises(SizeCapExceeded):
+        basis_from_oracle_direct(p2, (21,), 0.0, tuple(NI(1, 1.0, 1.0) for _ in range(21)))
     # cross-check feature: a too-small bound is caught by bumping it
     with pytest.raises(BoundDisagreement):
         basis_from_oracle_direct(p2, (1,), 0.0, (NI(1, 1.0, 1.0),), cross_check=True)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ccndecomp
 from ccndecomp.cli import main
 from ccndecomp.network import network_to_json, parse_network
 from ccndecomp.oracle import oracle_specs_from_json
@@ -190,3 +196,74 @@ def test_shipped_specs_round_trip(data_dir):
         specs = oracle_specs_from_json(doc)
         again = oracle_specs_from_json([s.to_jsonable() for s in specs])
         assert again == specs, spec_file.name
+
+
+GOLDEN_DECOMPOSE = [
+    ("oracle_power2.json", "points_power2.json", [], "power2_coupling.json"),
+    ("oracle_power2.json", "points_power2.json", ["--to", "basis"], "power2_basis.json"),
+    ("oracle_poly2.json", "points_twotype_n8.json", [], "poly2_twotype_n8_coupling.json"),
+    ("oracle_poly2.json", "points_twotype_n8.json", ["--to", "basis", "--bound", "4,4"],
+     "poly2_twotype_n8_basis.json"),
+]
+
+
+@pytest.mark.parametrize("oracle,points,extra,golden", GOLDEN_DECOMPOSE,
+                         ids=[g[3].removesuffix(".json") for g in GOLDEN_DECOMPOSE])
+def test_decompose_reports_match_golden(data_dir, tmp_path, oracle, points, extra, golden):
+    out = tmp_path / "report.json"
+    code = run(["decompose", data_dir / oracle, "--points", data_dir / points, *extra,
+                "--out", out])
+    assert code == 0
+    assert out.read_bytes() == (data_dir / "golden" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("to", ["coupling", "basis"])
+def test_decompose_refuses_oversized_point_up_front(data_dir, tmp_path, capsys, to):
+    points = tmp_path / "pts.json"
+    big = [{"type": 1, "weight": 1.0, "state": 0.5}] * 21
+    points.write_text(json.dumps({"points": [{"x": 0.0, "neighborhood": big}]}))
+    start = time.perf_counter()
+    code = run(["decompose", data_dir / "oracle_power2.json", "--points", points,
+                "--to", to, "--bound", "21"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert "neighborhood of size 21 exceeds cap 20" in capsys.readouterr().err
+
+
+def _entry(**drop):
+    entry = {"type": 1, "weight": 1.0, "state": 2.0}
+    for key in drop:
+        del entry[key]
+    return entry
+
+
+MALFORMED_POINTS = [
+    ("missing_type", {"points": [{"x": 0.0, "neighborhood": [_entry(type=1)]}]}, "'type'"),
+    ("missing_weight", {"points": [{"x": 0.0, "neighborhood": [_entry(weight=1)]}]}, "'weight'"),
+    ("missing_state", {"points": [{"x": 0.0, "neighborhood": [_entry(state=1)]}]}, "'state'"),
+    ("neighborhood_not_list", {"points": [{"x": 0.0, "neighborhood": {"type": 1}}]},
+     "'neighborhood' must be a list"),
+    ("entry_not_object", {"points": [{"neighborhood": [3]}]}, "bad neighborhood entry 3"),
+    ("point_not_object", {"points": [7]}, "must be an object"),
+    ("points_not_list", {"points": 5}, "expected a list of points"),
+    ("bad_state", {"points": [{"neighborhood": [dict(_entry(), state="hot")]}]},
+     "bad neighborhood entry"),
+    ("bad_x", {"points": [{"x": [1], "neighborhood": []}]}, "point 0"),
+]
+
+
+@pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_POINTS],
+                         ids=[m[0] for m in MALFORMED_POINTS])
+def test_decompose_malformed_points_is_usage_error(data_dir, tmp_path, doc, message):
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccndecomp.cli", "decompose", str(data_dir / "oracle_power2.json"),
+         "--points", str(points)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert str(points) in proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from ccndecomp.coupling import (
     CouplingFamily,
     SizeCapExceeded,
+    coupling_components,
     coupling_eval_explicit,
     coupling_eval_recursive,
     coupling_family_check,
@@ -15,12 +16,15 @@ from ccndecomp.coupling import (
     polynomial_coupling_support,
     recompose,
 )
+from ccndecomp.cli import _decompose_point
 from ccndecomp.monoid import make_additive_real, make_bool_or
 from ccndecomp.multiindex import iter_multiindices, ones
 from ccndecomp.oracle import (
     BlackBoxOracle,
     NeighborInput,
+    OracleComponent,
     build_exponential,
+    build_nested,
     build_polynomial_multi,
     build_polynomial_single,
     type_multiindex,
@@ -305,3 +309,128 @@ def test_truncated_exponential_components_converge_to_product_form():
         want = math.prod(math.expm1(e.weight * e.state) for e in inputs)
         worst = max(worst, abs(got - want))
     assert worst < 1e-6, worst
+
+
+# --- all components of a point at once --------------------------------------
+
+def near_cancelling_point(rng, n, n_types):
+    """Dyadic inputs in +/- pairs with small dyadic offsets, so the subset
+    sums cancel to a few ulps and the transform has to be exact."""
+    inputs = []
+    for i in range(n):
+        magnitude = rng.randint(1, 64) / 32
+        sign = 1 if i % 2 == 0 else -1
+        state = sign * magnitude + rng.choice((0.0, 2.0 ** -40, -(2.0 ** -44)))
+        inputs.append(NI(i % n_types + 1, rng.randint(1, 8) / 4, state))
+    rng.shuffle(inputs)
+    return rng.randint(-16, 16) / 8, tuple(inputs)
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(fn):
+    """A call's value, or the type of the arithmetic error it raised."""
+    try:
+        return fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return same_float(a, b) or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+COMPONENT_ORACLES = [
+    ("polynomial_multi", build_polynomial_multi(
+        {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 8), (2, 1): Fraction(-1, 8),
+         (2, 2): Fraction(1, 16), (3, 3): Fraction(1, 32), (0, 3): Fraction(-1, 8)},
+        n_types=2)),
+    ("nested", build_nested([1, Fraction(1, 2), Fraction(1, 4)], [[1], [Fraction(-1, 2)]])),
+    ("exponential", build_exponential(None)),
+]
+
+
+@pytest.mark.parametrize("name,oracle", COMPONENT_ORACLES, ids=[n for n, _ in COMPONENT_ORACLES])
+def test_coupling_components_bit_identical_to_explicit(name, oracle):
+    rng = random.Random(name)
+    for n in range(10):
+        for _ in range(2 if n < 9 else 1):
+            x, inputs = near_cancelling_point(rng, n, oracle.n_types)
+            got = coupling_components(oracle, x, inputs)
+            assert len(got) == 1 << n
+            for mask, value in enumerate(got):
+                subset = tuple(inputs[i] for i in range(n) if mask >> i & 1)
+                want = coupling_eval_explicit(oracle, x, subset)
+                assert same_float(value, want), (n, mask, value, want)
+
+
+def blackbox(fn):
+    return BlackBoxOracle(1, 1, zero_f0, fn, "test")
+
+
+NON_FINITE = [
+    ("inf_on_pairs", lambda x, s: math.inf if len(s) >= 2 else math.fsum(e.state for e in s)),
+    ("inf_on_full_set", lambda x, s: math.inf if len(s) == 4 else float(len(s))),
+    ("mixed_signs", lambda x, s: math.copysign(math.inf, math.fsum(e.state for e in s))
+        if len(s) >= 2 else 1.0),
+    ("nan", lambda x, s: math.nan if len(s) == 3 else 0.5),
+    ("huge_finite", lambda x, s: 1.5e308 if len(s) % 2 else -1.5e308),
+]
+
+
+@pytest.mark.parametrize("fn", [f for _, f in NON_FINITE], ids=[n for n, _ in NON_FINITE])
+def test_coupling_components_non_finite_matches_explicit(fn):
+    oracle = blackbox(fn)
+    inputs = (NI(1, 1.0, 0.5), NI(1, 1.0, -0.75), NI(1, 2.0, 1.25), NI(1, 0.5, -2.0))
+    expected = [outcome(lambda s=s: coupling_eval_explicit(oracle, 0.0, s))
+                for s in (tuple(inputs[i] for i in range(4) if m >> i & 1) for m in range(16))]
+    errors = [e for e in expected if isinstance(e, type)]
+    if errors:
+        assert outcome(lambda: coupling_components(oracle, 0.0, inputs)) == errors[0]
+    else:
+        got = coupling_components(oracle, 0.0, inputs)
+        assert all(same_outcome(a, b) for a, b in zip(got, expected)), (got, expected)
+
+
+def test_coupling_components_recompose_and_cap():
+    exp = build_exponential(None)
+    inputs = (NI(1, 0.5, 1.0), NI(1, -0.25, 2.0), NI(1, 1.0, -0.5))
+    assert recompose(exp, 0.25, inputs) == math.fsum(coupling_components(exp, 0.25, inputs))
+    with pytest.raises(SizeCapExceeded):
+        coupling_components(exp, 0.0, tuple(NI(1, 1.0, 1.0) for _ in range(21)))
+
+
+class CountingOracle(OracleComponent):
+    def __init__(self, inner):
+        self.inner = inner
+        self.target_type, self.n_types, self.f0 = inner.target_type, inner.n_types, inner.f0
+        self.calls = 0
+
+    def evaluate(self, x, inputs):
+        self.calls += 1
+        return self.inner.evaluate(x, inputs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 9])
+def test_coupling_point_costs_two_to_the_n_evaluations(n):
+    oracle = CountingOracle(COMPONENT_ORACLES[0][1])
+    x, inputs = near_cancelling_point(random.Random(n), n, 2)
+    point = _decompose_point(oracle, x, inputs, "coupling", None)
+    assert oracle.calls == 1 << n
+    assert point["internal"] == oracle.inner.evaluate(x, ())
+
+
+def test_basis_point_evaluates_each_multiplicity_vector_once():
+    inner = COMPONENT_ORACLES[0][1]
+    oracle = CountingOracle(inner)
+    x, inputs = near_cancelling_point(random.Random(3), 6, 2)
+    bound = (4, 4)
+    point = _decompose_point(oracle, x, inputs, "basis", bound)
+    # vectors of 3 entries per type with sum <= 4: C(3 + 4, 3) each
+    assert oracle.calls <= math.comb(7, 3) ** 2 == 1225
+    unmemoized = _decompose_point(inner, x, inputs, "basis", bound)
+    assert point == unmemoized
