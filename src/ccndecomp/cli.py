@@ -24,7 +24,7 @@ from .coupling import (
     locally_maximal_orders,
     subsets,
 )
-from .network import DivergenceError, integrate_rk4, parse_network
+from .network import DivergenceError, Network, integrate_rk4, parse_network
 from .oracle import (
     CellSpec,
     NeighborInput,
@@ -108,6 +108,18 @@ class _PointMemo(OracleComponent):
         return value
 
 
+def _require_numeric_weights(net: Network, pairs) -> None:
+    """Refuse type pairs whose monoid weights are not numbers: every shipped
+    component multiplies weight by state."""
+    for pair in sorted(pairs):
+        monoid = net.registry[pair]
+        if not isinstance(monoid.zero, (int, float)):
+            raise SpecFormatError(
+                f"type pair {pair} uses monoid {monoid.name}, whose weights are not numbers; "
+                "the shipped components need numeric weights"
+            )
+
+
 def cmd_verify(args) -> int:
     net = parse_network(_load_json(args.network))
     specs = oracle_specs_from_json(_load_json(args.oracle))
@@ -120,6 +132,7 @@ def cmd_verify(args) -> int:
             monoids = [net.monoid_for(spec.type_index, j + 1) for j in range(oracle.n_types)]
         except SpecFormatError as exc:
             raise SpecFormatError(f"oracle for type {spec.type_index}: {exc}") from exc
+        _require_numeric_weights(net, [(spec.type_index, j + 1) for j in range(oracle.n_types)])
         adm = admissibility_check(oracle, monoids, trials=args.trials, seed=args.seed, tol=args.tol)
         if isinstance(oracle, PolynomialOracle):
             fam = CouplingFamily.from_polynomial(oracle)
@@ -240,6 +253,10 @@ def cmd_simulate(args) -> int:
         print(f"error: --dt must be positive, got {args.dt}", file=sys.stderr)
         return 2
     net = parse_network(_load_json(args.network))
+    types = [net.type_of[cell] for cell in net.cells]
+    _require_numeric_weights(
+        net, {(types[c], types[d]) for c, row in enumerate(net.in_edges) for d, _ in row}
+    )
     specs = oracle_specs_from_json(_load_json(args.oracle))
     oracles = {spec.type_index: spec.build() for spec in specs}
     x0_doc = _load_json(args.x0)

@@ -1,9 +1,10 @@
 """Commutative-monoid weight algebras: the "edges in parallel" operation.
 
 A weight monoid packs the parallel-composition operation, its identity (the
-"no edge" value), an equality predicate and a bounded random sampler.  The
-sampler draws dyadic rationals for the real-valued instances so that law
-checks can use exact float comparisons.
+"no edge" value), an equality predicate, a bounded random sampler and the
+parser that reads its weights from JSON.  The sampler draws dyadic rationals
+for the real-valued instances so that law checks can use exact float
+comparisons.
 """
 
 from __future__ import annotations
@@ -27,18 +28,36 @@ class WeightMonoid:
 
     ``combine`` must be commutative and associative with ``zero`` as the
     identity; :func:`check_laws` probes these laws on random samples.
-    ``annihilator`` is an optional absorbing element (a with a||w = a).
+    ``parse`` turns a JSON weight into the canonical weight value, raising
+    ``ValueError`` for a value outside the monoid.  ``annihilator`` is an
+    optional absorbing element (a with a||w = a).
     """
 
     name: str
     combine: Callable[[Any, Any], Any]
     zero: Any
     sample: Callable[[random.Random], Any]
+    parse: Callable[[Any], Any] = field(default=lambda raw: raw)
     equal: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
     annihilator: Any = None
 
     def is_zero(self, w: Any) -> bool:
         return self.equal(w, self.zero)
+
+
+def _parse_number(name: str, minimum: float | None = None) -> Callable[[Any], float]:
+    def parse(raw: Any) -> float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ValueError(f"monoid {name} expects a number, got {raw!r}")
+        try:
+            w = float(raw)
+        except OverflowError:
+            raise ValueError(f"monoid {name} weight {raw!r} is out of float range") from None
+        if minimum is not None and not w >= minimum:
+            raise ValueError(f"monoid {name} expects a number >= {minimum}, got {raw!r}")
+        return w
+
+    return parse
 
 
 def make_additive_real() -> WeightMonoid:
@@ -49,6 +68,7 @@ def make_additive_real() -> WeightMonoid:
         combine=lambda a, b: a + b,
         zero=0.0,
         sample=sample_dyadic,
+        parse=_parse_number("additive_real"),
     )
 
 
@@ -60,6 +80,7 @@ def make_additive_positive() -> WeightMonoid:
         combine=lambda a, b: a + b,
         zero=0.0,
         sample=lambda rng: sample_dyadic(rng, 1.0 / 64.0, 2.0),
+        parse=_parse_number("additive_positive", minimum=0.0),
     )
 
 
@@ -72,6 +93,18 @@ def _sample_multiset(rng: random.Random) -> tuple:
     return tuple(sorted(rng.choice(labels) for _ in range(rng.randint(0, 3))))
 
 
+def _parse_labels(raw: Any) -> tuple:
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
+        raise ValueError(f"monoid free_parallel expects a list of labels, got {raw!r}")
+    return tuple(sorted(raw))
+
+
+def _parse_bool(raw: Any) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"monoid bool_or expects a boolean, got {raw!r}")
+    return raw
+
+
 def make_free_parallel() -> WeightMonoid:
     """Finite multisets of edge labels under multiset union; the free
     commutative monoid, able to represent any finite bundle of parallel
@@ -82,6 +115,7 @@ def make_free_parallel() -> WeightMonoid:
         combine=_multiset_union,
         zero=(),
         sample=_sample_multiset,
+        parse=_parse_labels,
     )
 
 
@@ -92,12 +126,14 @@ def make_bool_or() -> WeightMonoid:
         combine=lambda a, b: a or b,
         zero=False,
         sample=lambda rng: rng.random() < 0.5,
+        parse=_parse_bool,
         annihilator=True,
     )
 
 
 BUILTIN_MONOIDS: dict[str, Callable[[], WeightMonoid]] = {
     "additive_real": make_additive_real,
+    "additive_positive": make_additive_positive,
     "free_parallel": make_free_parallel,
     "bool_or": make_bool_or,
 }

@@ -1,10 +1,16 @@
 """Weighted multi-edge network model and cell-wise evaluation.
 
-A network is an ordered cell list, a type per cell, and an in-adjacency
-matrix whose (c, d) entry is the weight of the edge from d into c, drawn
-from the monoid registered for the (type(c), type(d)) pair.  Evaluating a
-per-type tuple of components cell by cell on the in-neighborhoods yields the
-network-level function; a fixed-step RK4 integrator drives it as dynamics.
+A network is an ordered cell list, a type per cell, and for each cell its
+in-edges: (source position, weight) pairs sorted by source position, the
+weight drawn from the monoid registered for the (type(target), type(source))
+pair.  Parallel edges are combined with that monoid while parsing and edges
+whose weight is the monoid zero are dropped, so every stored weight is
+nonzero.  Evaluating a per-type tuple of components cell by cell on the
+in-neighborhoods yields the network-level function; a fixed-step RK4
+integrator drives it as dynamics.
+
+Cost model: O(N + E) memory for N cells and E distinct nonzero edges; one
+vector field costs O(E) neighbor lookups plus N component evaluations.
 
 The schema records a per-type state dimension, but evaluation and
 integration operate on scalar (dimension-1) states, which is all the shipped
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .monoid import MonoidRegistry, WeightMonoid, monoid_by_name
 from .oracle import NeighborInput, OracleComponent, SpecFormatError
@@ -39,8 +45,8 @@ class Network:
     n_types: int
     state_dims: dict[int, int]
     registry: MonoidRegistry
-    monoid_names: dict[tuple[int, int], str]
-    matrix: list[list[Any]]  # matrix[c][d] = weight of edge d -> c, None = no edge
+    # in_edges[c] = ((d, weight), ...) for the edges d -> c, sorted by d; weights nonzero
+    in_edges: list[tuple[tuple[int, Any], ...]]
     index: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -54,44 +60,52 @@ class Network:
                 f"no monoid registered for type pair ({target_type},{source_type})"
             ) from None
 
+    def weight(self, to: str, frm: str) -> Any:
+        """Weight of the edge ``frm`` -> ``to``, or None when there is none."""
+        d = self.index[frm]
+        for source, w in self.in_edges[self.index[to]]:
+            if source == d:
+                return w
+        return None
+
     def in_neighborhood(self, cell: str, states: Mapping[str, float]) -> tuple[NeighborInput, ...]:
-        """All in-edges of ``cell`` with nonzero weight, paired with the
-        source states.  Zero weights are omitted; that cannot change any
-        admissible evaluation."""
-        if cell not in self.index:
+        """All in-edges of ``cell``, paired with the source states, in source
+        order.  Zero weights were dropped at parse time; that cannot change
+        any admissible evaluation."""
+        c = self.index.get(cell)
+        if c is None:
             raise KeyError(f"unknown cell {cell!r}")
-        c = self.index[cell]
-        target_type = self.type_of[cell]
-        out = []
-        for d, source in enumerate(self.cells):
-            w = self.matrix[c][d]
-            if w is None:
-                continue
-            source_type = self.type_of[source]
-            if self.monoid_for(target_type, source_type).is_zero(w):
-                continue
-            out.append(NeighborInput(source_type, w, states[source]))
-        return tuple(out)
-
-
-def _validate_weight(monoid: WeightMonoid, raw: Any) -> Any:
-    if monoid.name in ("additive_real", "additive_positive"):
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise SpecFormatError(f"monoid {monoid.name} expects a number, got {raw!r}")
-        return float(raw)
-    if monoid.name == "free_parallel":
-        if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
-            raise SpecFormatError(f"monoid free_parallel expects a list of labels, got {raw!r}")
-        return tuple(sorted(raw))
-    if monoid.name == "bool_or":
-        if not isinstance(raw, bool):
-            raise SpecFormatError(f"monoid bool_or expects a boolean, got {raw!r}")
-        return raw
-    return raw
+        cells, type_of = self.cells, self.type_of
+        return tuple([
+            NeighborInput(type_of[cells[d]], w, states[cells[d]]) for d, w in self.in_edges[c]
+        ])
 
 
 def _weight_jsonable(w: Any) -> Any:
     return list(w) if isinstance(w, tuple) else w
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SpecFormatError(f"network spec: {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _get(entry: Any, where: str, key: str, convert: Callable[[Any], Any], default: Any = None):
+    """``convert(entry[key])``; a non-object entry, a missing key without a
+    default, or a value ``convert`` rejects raises SpecFormatError naming
+    ``where`` and ``key``."""
+    if not isinstance(entry, dict):
+        raise SpecFormatError(f"{where} must be an object, got {entry!r}")
+    if key not in entry:
+        if default is None:
+            raise SpecFormatError(f"{where} is missing {key!r}")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError):
+        raise SpecFormatError(f"{where}: bad {key!r} value {entry[key]!r}") from None
 
 
 def parse_network(doc: dict) -> Network:
@@ -100,41 +114,42 @@ def parse_network(doc: dict) -> Network:
     Edges may come as an ``edges`` list (absent edge = monoid zero) or as an
     explicit ``matrix`` of rows (null = no edge); explicit zero weights are
     canonicalized to "no edge".  Parallel edges in the edge list are
-    combined with the pair's monoid operation.
+    combined with the pair's monoid operation, in document order.  Every
+    malformed entry raises :class:`SpecFormatError` naming it.
     """
     if not isinstance(doc, dict):
         raise SpecFormatError("network spec must be a JSON object")
-    try:
-        type_entries = doc["types"]
-        cell_entries = doc["cells"]
-    except KeyError as missing:
-        raise SpecFormatError(f"network spec is missing {missing}") from None
+    for key in ("types", "cells"):
+        if key not in doc:
+            raise SpecFormatError(f"network spec is missing {key!r}")
 
     state_dims: dict[int, int] = {}
-    for t in type_entries:
-        idx = int(t["id"])
+    for i, t in enumerate(_list(doc, "types")):
+        idx = _get(t, f"types[{i}]", "id", int)
         if idx < 1:
             raise SpecFormatError(f"type ids are 1-based, got {idx}")
-        state_dims[idx] = int(t.get("state_dim", 1))
+        state_dims[idx] = _get(t, f"types[{i}]", "state_dim", int, default=1)
     n_types = max(state_dims) if state_dims else 0
     if set(state_dims) != set(range(1, n_types + 1)):
         raise SpecFormatError(f"type ids must cover 1..{n_types}, got {sorted(state_dims)}")
 
     cells: list[str] = []
     type_of: dict[str, int] = {}
-    for entry in cell_entries:
-        cid = str(entry["id"])
+    for i, entry in enumerate(_list(doc, "cells")):
+        cid = _get(entry, f"cells[{i}]", "id", str)
         if cid in type_of:
             raise SpecFormatError(f"duplicate cell id {cid!r}")
-        t = int(entry["type"])
+        t = _get(entry, f"cells[{i}]", "type", int)
         if t not in state_dims:
             raise SpecFormatError(f"cell {cid!r} has unknown type {t}")
         cells.append(cid)
         type_of[cid] = t
 
+    monoid_doc = doc.get("monoids", {})
+    if not isinstance(monoid_doc, dict):
+        raise SpecFormatError(f"network spec: 'monoids' must be an object, got {monoid_doc!r}")
     registry: MonoidRegistry = {}
-    monoid_names: dict[tuple[int, int], str] = {}
-    for key, name in dict(doc.get("monoids", {})).items():
+    for key, name in monoid_doc.items():
         try:
             i_s, j_s = str(key).split(",")
             pair = (int(i_s), int(j_s))
@@ -143,14 +158,32 @@ def parse_network(doc: dict) -> Network:
         if pair[0] not in state_dims or pair[1] not in state_dims:
             raise SpecFormatError(f"monoid key {key!r} names an unknown type")
         registry[pair] = monoid_by_name(str(name))
-        monoid_names[pair] = str(name)
 
     n = len(cells)
     index = {cid: i for i, cid in enumerate(cells)}
-    matrix: list[list[Any]] = [[None] * n for _ in range(n)]
+    incoming: list[dict[int, Any]] = [{} for _ in range(n)]
+
+    def add_edge(c: int, d: int, raw: Any, where: str) -> None:
+        pair = (type_of[cells[c]], type_of[cells[d]])
+        monoid = registry.get(pair)
+        if monoid is None:
+            raise SpecFormatError(f"no monoid declared for type pair {pair}")
+        try:
+            w = monoid.parse(raw)
+        except ValueError as exc:
+            raise SpecFormatError(f"{where}: {exc}") from None
+        row = incoming[c]
+        if d in row:
+            w = monoid.combine(row[d], w)
+        if monoid.is_zero(w):
+            row.pop(d, None)
+        else:
+            row[d] = w
 
     if "matrix" in doc:
         rows = doc["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise SpecFormatError("network spec: 'matrix' must be a list of rows")
         if len(rows) != n or any(len(row) != n for row in rows):
             raise SpecFormatError(
                 f"non-square matrix: expected {n}x{n}, got "
@@ -158,32 +191,17 @@ def parse_network(doc: dict) -> Network:
             )
         for c in range(n):
             for d in range(n):
-                raw = rows[c][d]
-                if raw is None:
-                    continue
-                pair = (type_of[cells[c]], type_of[cells[d]])
-                if pair not in registry:
-                    raise SpecFormatError(f"no monoid declared for type pair {pair}")
-                w = _validate_weight(registry[pair], raw)
-                matrix[c][d] = None if registry[pair].is_zero(w) else w
+                if rows[c][d] is not None:
+                    add_edge(c, d, rows[c][d], f"matrix[{c}][{d}]")
 
-    for edge in doc.get("edges", []):
-        try:
-            to, frm = str(edge["to"]), str(edge["from"])
-            raw = edge["weight"]
-        except KeyError as missing:
-            raise SpecFormatError(f"edge {edge!r} is missing {missing}") from None
+    for i, edge in enumerate(_list(doc, "edges")):
+        where = f"edges[{i}]"
+        to, frm = _get(edge, where, "to", str), _get(edge, where, "from", str)
+        if "weight" not in edge:
+            raise SpecFormatError(f"{where} is missing 'weight'")
         if to not in index or frm not in index:
-            raise SpecFormatError(f"edge references unknown cell: {edge!r}")
-        pair = (type_of[to], type_of[frm])
-        if pair not in registry:
-            raise SpecFormatError(f"no monoid declared for type pair {pair}")
-        monoid = registry[pair]
-        w = _validate_weight(monoid, raw)
-        c, d = index[to], index[frm]
-        if matrix[c][d] is not None:
-            w = monoid.combine(matrix[c][d], w)
-        matrix[c][d] = None if monoid.is_zero(w) else w
+            raise SpecFormatError(f"{where} references unknown cell: {edge!r}")
+        add_edge(index[to], index[frm], edge["weight"], where)
 
     return Network(
         cells=cells,
@@ -191,24 +209,22 @@ def parse_network(doc: dict) -> Network:
         n_types=n_types,
         state_dims=state_dims,
         registry=registry,
-        monoid_names=monoid_names,
-        matrix=matrix,
+        in_edges=[tuple(sorted(row.items())) for row in incoming],
     )
 
 
 def network_to_json(net: Network) -> dict:
     """Canonical JSON form (edges list, sorted); parse/serialize round-trips
     losslessly."""
-    edges = []
-    for c, to in enumerate(net.cells):
-        for d, frm in enumerate(net.cells):
-            w = net.matrix[c][d]
-            if w is not None:
-                edges.append({"to": to, "from": frm, "weight": _weight_jsonable(w)})
+    edges = [
+        {"to": to, "from": net.cells[d], "weight": _weight_jsonable(w)}
+        for to, row in zip(net.cells, net.in_edges)
+        for d, w in row
+    ]
     edges.sort(key=lambda e: (e["to"], e["from"]))
     return {
         "types": [{"id": t, "state_dim": net.state_dims[t]} for t in sorted(net.state_dims)],
-        "monoids": {f"{i},{j}": net.monoid_names[(i, j)] for i, j in sorted(net.monoid_names)},
+        "monoids": {f"{i},{j}": net.registry[(i, j)].name for i, j in sorted(net.registry)},
         "cells": [{"id": c, "type": net.type_of[c]} for c in net.cells],
         "edges": edges,
     }

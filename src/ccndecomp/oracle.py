@@ -115,6 +115,15 @@ class PolynomialOracle(OracleComponent):
     n_types: int
     f0: Callable[[float], float]
     _coeffs: dict[MultiIndex, Fraction]
+    # (n, float(a_n)) in increasing n, computed once from _coeffs
+    _terms: tuple[tuple[MultiIndex, float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            terms = tuple((n, float(a)) for n, a in sorted(self._coeffs.items()))
+        except OverflowError:
+            raise ValueError("a polynomial coefficient is out of float range") from None
+        object.__setattr__(self, "_terms", terms)
 
     def evaluate(self, x: float, inputs: Sequence[NeighborInput]) -> float:
         per_type: list[list[float]] = [[] for _ in range(self.n_types)]
@@ -124,8 +133,7 @@ class PolynomialOracle(OracleComponent):
             per_type[e.type_index - 1].append(e.weight * e.state)
         totals = [math.fsum(vals) for vals in per_type]
         terms = [self.f0(x)]
-        for n in sorted(self._coeffs):
-            term = float(self._coeffs[n])
+        for n, term in self._terms:
             for t, exp in zip(totals, n):
                 if exp:
                     term *= t ** exp

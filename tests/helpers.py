@@ -17,6 +17,7 @@ from ccndecomp import (
     make_additive_positive,
     make_additive_real,
     make_free_parallel,
+    monoid_by_name,
 )
 from ccndecomp.oracle import BlackBoxOracle, NeighborInput, zero_f0
 
@@ -114,6 +115,41 @@ def random_polynomial_coeffs(rng: random.Random, bound=(4, 4)) -> dict:
             if any(k):
                 keys.add(k)
     return {k: Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)) for k in keys}
+
+
+# --- dense network reference ----------------------------------------------
+
+def dense_in_neighborhood(doc: dict, cell: str, states: dict) -> tuple[NeighborInput, ...]:
+    """Reference for ``Network.in_neighborhood``: build the dense N x N
+    in-adjacency matrix of a valid network document (matrix rows first, then
+    edges combined in document order, zero weights dropped) and scan every
+    source of ``cell`` in cell order."""
+    cells = [str(c["id"]) for c in doc["cells"]]
+    type_of = {str(c["id"]): int(c["type"]) for c in doc["cells"]}
+    monoids = {tuple(int(p) for p in key.split(",")): monoid_by_name(name)
+               for key, name in doc["monoids"].items()}
+    pos = {cid: i for i, cid in enumerate(cells)}
+    matrix = [[None] * len(cells) for _ in cells]
+
+    def put(c, d, raw):
+        m = monoids[(type_of[cells[c]], type_of[cells[d]])]
+        w = m.parse(raw)
+        if matrix[c][d] is not None:
+            w = m.combine(matrix[c][d], w)
+        matrix[c][d] = None if m.is_zero(w) else w
+
+    for c, row in enumerate(doc.get("matrix", [])):
+        for d, raw in enumerate(row):
+            if raw is not None:
+                put(c, d, raw)
+    for e in doc.get("edges", []):
+        put(pos[e["to"]], pos[e["from"]], e["weight"])
+    c = pos[cell]
+    return tuple(
+        NeighborInput(type_of[src], matrix[c][d], states[src])
+        for d, src in enumerate(cells)
+        if matrix[c][d] is not None
+    )
 
 
 # --- brute-force combinatorial oracles --------------------------------------

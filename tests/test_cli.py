@@ -267,3 +267,101 @@ def test_decompose_malformed_points_is_usage_error(data_dir, tmp_path, doc, mess
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert str(points) in proc.stderr
+
+
+GOLDEN_SIMULATE = [
+    ("net_decay.json", "oracle_decay.json", "x0_decay.json", ["--dt", 0.05, "--steps", 20],
+     "decay_simulate.json"),
+    ("net_twotype.json", "oracle_twotype.json", "x0_twotype.json", ["--dt", 0.1, "--steps", 10],
+     "twotype_simulate.json"),
+    # 200-cell two-type ring, E close to 3N, with parallel edges, a pair that
+    # cancels to zero, an explicit zero weight and a self-loop
+    ("net_ring200.json", "oracle_ring.json", "x0_ring200.json", ["--dt", 0.0625, "--steps", 5],
+     "ring200_simulate.json"),
+]
+
+
+@pytest.mark.parametrize("net,oracle,x0,extra,golden", GOLDEN_SIMULATE,
+                         ids=[g[4].removesuffix(".json") for g in GOLDEN_SIMULATE])
+def test_simulate_reports_match_golden(data_dir, tmp_path, net, oracle, x0, extra, golden):
+    out = tmp_path / "traj.json"
+    code = run(["simulate", data_dir / net, data_dir / oracle, data_dir / x0, *extra,
+                "--out", out])
+    assert code == 0
+    assert out.read_bytes() == (data_dir / "golden" / golden).read_bytes()
+
+
+def _decay_net(**changes):
+    doc = {
+        "types": [{"id": 1}],
+        "monoids": {"1,1": "additive_real"},
+        "cells": [{"id": "u", "type": 1}],
+        "edges": [{"to": "u", "from": "u", "weight": 0.5}],
+    }
+    doc.update(changes)
+    return doc
+
+
+MALFORMED_NETWORKS = [
+    ("type_missing_id", _decay_net(types=[{"state_dim": 1}]), "types[0] is missing 'id'"),
+    ("type_bad_id", _decay_net(types=[{"id": "one"}]), "types[0]: bad 'id'"),
+    ("types_not_list", _decay_net(types={"id": 1}), "'types' must be a list"),
+    ("cell_missing_id", _decay_net(cells=[{"type": 1}]), "cells[0] is missing 'id'"),
+    ("cell_not_object", _decay_net(cells=["u"]), "cells[0] must be an object"),
+    ("cell_bad_type", _decay_net(cells=[{"id": "u", "type": None}]), "cells[0]: bad 'type'"),
+    ("monoids_not_object", _decay_net(monoids=["1,1"]), "'monoids' must be an object"),
+    ("matrix_not_rows", _decay_net(matrix=[3]), "'matrix' must be a list of rows"),
+    ("edges_object", _decay_net(edges={"to": "u", "from": "u", "weight": 1.0}),
+     "'edges' must be a list"),
+    ("edge_not_object", _decay_net(edges=[7]), "edges[0] must be an object"),
+    ("edge_missing_weight", _decay_net(edges=[{"to": "u", "from": "u"}]),
+     "edges[0] is missing 'weight'"),
+    ("edge_bad_weight", _decay_net(edges=[{"to": "u", "from": "u", "weight": "heavy"}]),
+     "edges[0]: monoid additive_real expects a number"),
+]
+
+
+@pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_NETWORKS],
+                         ids=[m[0] for m in MALFORMED_NETWORKS])
+def test_simulate_malformed_network_is_usage_error(data_dir, tmp_path, doc, message):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccndecomp.cli", "simulate", str(net),
+         str(data_dir / "oracle_decay.json"), str(data_dir / "x0_decay.json"),
+         "--dt", "0.1", "--steps", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_free_parallel_weights_refused_with_shipped_components(data_dir, tmp_path, capsys,
+                                                               command):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "types": [{"id": 1}],
+        "monoids": {"1,1": "free_parallel"},
+        "cells": [{"id": "a", "type": 1}, {"id": "b", "type": 1}],
+        "edges": [{"to": "b", "from": "a", "weight": ["x", "y"]}],
+    }))
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps({"a": 1.0, "b": 0.5}))
+    args = {"verify": ["--trials", 10], "simulate": [x0, "--dt", 0.1, "--steps", 2]}[command]
+    code = run([command, net, data_dir / "oracle_power2.json", *args])
+    assert code == 2
+    assert "free_parallel" in capsys.readouterr().err
+
+
+def test_simulate_accepts_free_parallel_pair_without_edges(data_dir, tmp_path):
+    # only the type pairs that carry an edge reach a component
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(_decay_net(monoids={"1,1": "additive_real", "1,2": "free_parallel"},
+                                         types=[{"id": 1}, {"id": 2}])))
+    out = tmp_path / "traj.json"
+    code = run(["simulate", net, data_dir / "oracle_decay.json", data_dir / "x0_decay.json",
+                "--dt", 0.1, "--steps", 2, "--out", out])
+    assert code == 0

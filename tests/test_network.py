@@ -17,7 +17,7 @@ from ccndecomp.oracle import (
     build_polynomial_single,
     parse_f0,
 )
-from helpers import shipped_oracles
+from helpers import dense_in_neighborhood, shipped_oracles
 
 
 def two_type_doc():
@@ -40,8 +40,8 @@ def two_type_doc():
 def test_parse_simple_network():
     net = parse_network(two_type_doc())
     assert net.cells == ["c", "a", "b"]
-    assert net.matrix[0][1] == 1.0 and net.matrix[0][2] == 2.0
-    assert net.matrix[1][0] is None
+    assert net.weight("c", "a") == 1.0 and net.weight("c", "b") == 2.0
+    assert net.weight("a", "c") is None
 
 
 def test_parse_matrix_form_and_non_square_error():
@@ -49,7 +49,7 @@ def test_parse_matrix_form_and_non_square_error():
     del doc["edges"]
     doc["matrix"] = [[None, 1.0, 2.0], [None, None, None], [None, None, None]]
     net = parse_network(doc)
-    assert net.matrix[0][1] == 1.0
+    assert net.weight("c", "a") == 1.0
     doc["matrix"] = [[None, 1.0, 2.0], [None, None, None]]
     with pytest.raises(SpecFormatError, match="non-square"):
         parse_network(doc)
@@ -86,14 +86,14 @@ def test_zero_weights_are_canonicalized_away():
     doc = two_type_doc()
     doc["edges"].append({"to": "a", "from": "b", "weight": 0.0})
     net = parse_network(doc)
-    assert net.matrix[1][2] is None
+    assert net.weight("a", "b") is None
 
 
 def test_parallel_edges_combine():
     doc = two_type_doc()
     doc["edges"].append({"to": "c", "from": "a", "weight": 2.5})
     net = parse_network(doc)
-    assert net.matrix[0][1] == 3.5
+    assert net.weight("c", "a") == 3.5
 
 
 def test_in_neighborhood():
@@ -107,6 +107,56 @@ def test_in_neighborhood():
     assert net.in_neighborhood("a", states) == ()
     with pytest.raises(KeyError):
         net.in_neighborhood("ghost", states)
+
+
+def _random_network_doc(rng, monoid, matrix_form):
+    """Random two-type network with self-loops, parallel edges and weights
+    that are zero or cancel to zero."""
+    n = rng.randint(1, 12)
+    cells = [{"id": f"v{i}", "type": rng.randint(1, 2)} for i in range(n)]
+    if monoid == "bool_or":
+        draw = lambda: rng.random() < 0.4
+    else:
+        draw = lambda: rng.choice([0.0, 0.5, -0.5, 0.1, 0.2, rng.randint(-16, 16) / 8])
+    doc = {
+        "types": [{"id": 1}, {"id": 2}],
+        "monoids": {f"{i},{j}": monoid for i in (1, 2) for j in (1, 2)},
+        "cells": cells,
+    }
+    if matrix_form:
+        doc["matrix"] = [[draw() if rng.random() < 0.4 else None for _ in cells] for _ in cells]
+    doc["edges"] = [
+        {"to": rng.choice(cells)["id"], "from": rng.choice(cells)["id"], "weight": draw()}
+        for _ in range(rng.randint(0, 3 * n))
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("monoid", ["additive_real", "bool_or"])
+@pytest.mark.parametrize("matrix_form", [False, True], ids=["edges", "matrix"])
+def test_in_neighborhood_matches_dense_scan(monoid, matrix_form):
+    rng = random.Random(f"{monoid}-{matrix_form}")
+    for _ in range(200):
+        doc = _random_network_doc(rng, monoid, matrix_form)
+        net = parse_network(doc)
+        again = parse_network(network_to_json(net))
+        states = {c: rng.uniform(-1, 1) for c in net.cells}
+        for cell in net.cells:
+            expected = dense_in_neighborhood(doc, cell, states)
+            assert net.in_neighborhood(cell, states) == expected
+            assert again.in_neighborhood(cell, states) == expected
+
+
+def test_additive_positive_is_a_network_monoid():
+    doc = two_type_doc()
+    doc["monoids"]["1,2"] = "additive_positive"
+    net = parse_network(doc)
+    assert net.registry[(1, 2)].name == "additive_positive"
+    assert network_to_json(net)["monoids"]["1,2"] == "additive_positive"
+    assert network_to_json(parse_network(network_to_json(net))) == network_to_json(net)
+    doc["edges"][0]["weight"] = -1.0
+    with pytest.raises(SpecFormatError, match=r"edges\[0\].*additive_positive expects a number >= 0"):
+        parse_network(doc)
 
 
 def test_evaluate_vector_field_examples():
@@ -224,7 +274,7 @@ def test_state_dims_and_self_loops():
     doc["edges"].append({"to": "c", "from": "c", "weight": 0.5})
     net = parse_network(doc)
     assert net.state_dims == {1: 1, 2: 3}
-    assert net.matrix[0][0] == 0.5  # self-loops are ordinary in-edges
+    assert net.weight("c", "c") == 0.5  # self-loops are ordinary in-edges
     states = {"c": 2.0, "a": 0.0, "b": 0.0}
     hood = net.in_neighborhood("c", states)
     assert (1, 0.5, 2.0) in [(e.type_index, e.weight, e.state) for e in hood]

@@ -222,6 +222,10 @@ def test_oracle_spec_errors():
         oracle_spec_from_json({"family": "polynomial", "params": {"coeffs": {"2": "1"}}, "f0": "cubic"})
     with pytest.raises(SpecFormatError):
         oracle_specs_from_json("not a spec")
+    with pytest.raises(SpecFormatError, match="out of float range"):
+        oracle_spec_from_json(
+            {"family": "polynomial", "params": {"coeffs": {"1": "1e400"}}}
+        ).build()
 
 
 def test_oracle_specs_accept_lists():
