@@ -46,6 +46,34 @@ def _load_json(path: str):
         raise SpecFormatError(f"{path}: {exc}") from exc
 
 
+def _load_spec(path: str, parse):
+    """``parse`` applied to the JSON document at ``path``; a malformed
+    document raises SpecFormatError naming the file."""
+    doc = _load_json(path)
+    try:
+        return parse(doc)
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"{path}: {exc}") from None
+
+
+def _parse_x0(doc, path: str, cells: list[str]) -> dict[str, float]:
+    """Initial state of every cell from an x0 document: {cell: state} or
+    {"states": {cell: state}}."""
+    if isinstance(doc, dict) and "states" in doc:
+        doc = doc["states"]
+    if not isinstance(doc, dict):
+        raise SpecFormatError(f"{path}: x0 must map cell ids to states, got {type(doc).__name__}")
+    x0 = {}
+    for cell in cells:
+        if cell not in doc:
+            raise SpecFormatError(f"{path}: x0 is missing cell {cell!r}")
+        try:
+            x0[cell] = float(doc[cell])
+        except (TypeError, ValueError, OverflowError):
+            raise SpecFormatError(f"{path}: cell {cell!r}: bad state {doc[cell]!r}") from None
+    return x0
+
+
 def _write(doc, out_path: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -121,8 +149,8 @@ def _require_numeric_weights(net: Network, pairs) -> None:
 
 
 def cmd_verify(args) -> int:
-    net = parse_network(_load_json(args.network))
-    specs = oracle_specs_from_json(_load_json(args.oracle))
+    net = _load_spec(args.network, parse_network)
+    specs = _load_spec(args.oracle, oracle_specs_from_json)
     family_trials = min(args.trials, 1000)
     results = []
     all_ok = True
@@ -187,7 +215,7 @@ def _decompose_point(oracle, x, inputs, to, bound):
 
 
 def cmd_decompose(args) -> int:
-    specs = oracle_specs_from_json(_load_json(args.oracle))
+    specs = _load_spec(args.oracle, oracle_specs_from_json)
     if len(specs) != 1:
         raise SpecFormatError("decompose expects exactly one oracle spec")
     oracle = specs[0].build()
@@ -252,20 +280,14 @@ def cmd_simulate(args) -> int:
     if args.dt <= 0:
         print(f"error: --dt must be positive, got {args.dt}", file=sys.stderr)
         return 2
-    net = parse_network(_load_json(args.network))
+    net = _load_spec(args.network, parse_network)
     types = [net.type_of[cell] for cell in net.cells]
     _require_numeric_weights(
         net, {(types[c], types[d]) for c, row in enumerate(net.in_edges) for d, _ in row}
     )
-    specs = oracle_specs_from_json(_load_json(args.oracle))
+    specs = _load_spec(args.oracle, oracle_specs_from_json)
     oracles = {spec.type_index: spec.build() for spec in specs}
-    x0_doc = _load_json(args.x0)
-    if isinstance(x0_doc, dict) and "states" in x0_doc:
-        x0_doc = x0_doc["states"]
-    try:
-        x0 = {cell: float(x0_doc[cell]) for cell in net.cells}
-    except KeyError as missing:
-        raise SpecFormatError(f"x0 is missing cell {missing}") from None
+    x0 = _parse_x0(_load_json(args.x0), args.x0, net.cells)
     try:
         trajectory = integrate_rk4(net, oracles, x0, args.dt, args.steps)
     except DivergenceError as exc:

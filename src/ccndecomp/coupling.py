@@ -16,6 +16,7 @@ instead of 3^n evaluations, and give bit-identical values.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -41,12 +42,28 @@ class SizeCapExceeded(ValueError):
     """Neighborhood too large for the 2^|s| subset enumeration."""
 
 
+def _subset_table(inputs: Sequence[NeighborInput]) -> list[CellSpec]:
+    """Every subset indexed by bitmask, built by doubling: the subset of
+    mask h + 2^i is the subset of h with inputs[i] appended."""
+    table: list[CellSpec] = [()]
+    for item in inputs:
+        table += [subset + (item,) for subset in table]
+    return table
+
+
 def subsets(inputs: Sequence[NeighborInput]) -> Iterator[CellSpec]:
     """Every subset of the inputs in increasing bitmask order: the k-th
-    subset yielded holds inputs[i] for each bit i set in k, in input order."""
-    n = len(inputs)
-    for mask in range(1 << n):
-        yield tuple(inputs[i] for i in range(n) if mask >> i & 1)
+    subset yielded holds inputs[i] for each bit i set in k, in input order.
+
+    Each subset is one tuple concatenation of a subset of the lower half of
+    the inputs and one of the upper half.  Only the two half tables are
+    kept (2 * 2^10 tuples at the 20-input cap), not all 2^n subsets."""
+    inputs = tuple(inputs)
+    half = len(inputs) // 2
+    low = _subset_table(inputs[:half])
+    for high in _subset_table(inputs[half:]):
+        for subset in low:
+            yield subset + high
 
 
 def check_size_cap(inputs: Sequence[NeighborInput], max_size: int) -> None:
@@ -68,8 +85,8 @@ def coupling_eval_explicit(
     total_size = len(inputs)
     terms = []
     for subset in subsets(inputs):
-        sign = -1.0 if (total_size - len(subset)) % 2 else 1.0
-        terms.append(sign * oracle.evaluate(x, subset))
+        value = float(oracle.evaluate(x, subset))
+        terms.append(-value if (total_size - len(subset)) % 2 else value)
     return math.fsum(terms)
 
 
@@ -198,13 +215,20 @@ class CouplingFamily:
         coefficient a_n, the component at a neighborhood with k_j inputs of
         type j is a_n * prod_j [ n_j! * sum over m_j >= 1 with |m_j| = n_j of
         prod (w*state)^m / m! ], zero when the per-type counts cannot reach
-        n (empty types must have n_j = 0)."""
+        n (empty types must have n_j = 0).
+
+        The coefficients are sorted and converted to float once, here, and
+        the compositions m_j are enumerated once per (k_j, n_j) for the life
+        of the process.  A call computes each bracketed factor once per
+        (type, n_j) and multiplies it into every coefficient's term that
+        needs it, in the same order as a per-coefficient evaluation, so the
+        value is bit-identical to recomputing every factor."""
         coeffs = oracle.coeffs
         if coeffs is None:
             raise ValueError("closed-form family requires a structured polynomial component")
         n_types = oracle.n_types
         f0 = oracle.f0
-        frozen = dict(coeffs)
+        terms_f = tuple((n_vec, float(a)) for n_vec, a in sorted(coeffs.items()))
 
         def component(x: float, inputs: CellSpec) -> float:
             if not inputs:
@@ -212,9 +236,9 @@ class CouplingFamily:
             per_type: list[list[float]] = [[] for _ in range(n_types)]
             for e in inputs:
                 per_type[e.type_index - 1].append(e.weight * e.state)
+            factors: dict[tuple[int, int], float] = {}
             terms = []
-            for n_vec in sorted(frozen):
-                term = float(frozen[n_vec])
+            for n_vec, term in terms_f:
                 for j in range(n_types):
                     products = per_type[j]
                     n_j = n_vec[j]
@@ -226,13 +250,16 @@ class CouplingFamily:
                     if n_j < len(products):
                         term = 0.0
                         break
-                    inner = []
-                    for m in iter_multiindices(len(products), ones(len(products)), norm_equals=n_j):
-                        piece = 1.0
-                        for p, exp in zip(products, m):
-                            piece *= p ** exp / math.factorial(exp)
-                        inner.append(piece)
-                    term *= math.factorial(n_j) * math.fsum(inner)
+                    factor = factors.get((j, n_j))
+                    if factor is None:
+                        inner = []
+                        for m in _compositions(len(products), n_j):
+                            piece = 1.0
+                            for p, exp in zip(products, m):
+                                piece *= p ** exp / math.factorial(exp)
+                            inner.append(piece)
+                        factor = factors[j, n_j] = math.factorial(n_j) * math.fsum(inner)
+                    term *= factor
                     if term == 0.0:
                         break
                 terms.append(term)
@@ -243,8 +270,15 @@ class CouplingFamily:
             n_types=n_types,
             component=component,
             order_bound=oracle.order_bound,
-            support=polynomial_coupling_support(frozen.keys()),
+            support=polynomial_coupling_support(coeffs.keys()),
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _compositions(k: int, n: int) -> tuple[MultiIndex, ...]:
+    """Compositions of n into k positive parts (k <= n), in the order of
+    :func:`iter_multiindices`."""
+    return tuple(iter_multiindices(k, ones(k), norm_equals=n))
 
 
 def polynomial_coupling_support(coeff_keys: Iterable[MultiIndex]) -> frozenset[MultiIndex]:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .monoid import MonoidRegistry, WeightMonoid, monoid_by_name
-from .oracle import NeighborInput, OracleComponent, SpecFormatError
+from .oracle import NeighborInput, OracleComponent, SpecFormatError, spec_field
 
 
 class DivergenceError(RuntimeError):
@@ -92,22 +92,6 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
-def _get(entry: Any, where: str, key: str, convert: Callable[[Any], Any], default: Any = None):
-    """``convert(entry[key])``; a non-object entry, a missing key without a
-    default, or a value ``convert`` rejects raises SpecFormatError naming
-    ``where`` and ``key``."""
-    if not isinstance(entry, dict):
-        raise SpecFormatError(f"{where} must be an object, got {entry!r}")
-    if key not in entry:
-        if default is None:
-            raise SpecFormatError(f"{where} is missing {key!r}")
-        return default
-    try:
-        return convert(entry[key])
-    except (TypeError, ValueError, OverflowError):
-        raise SpecFormatError(f"{where}: bad {key!r} value {entry[key]!r}") from None
-
-
 def parse_network(doc: dict) -> Network:
     """Build a validated network from its JSON document.
 
@@ -125,10 +109,10 @@ def parse_network(doc: dict) -> Network:
 
     state_dims: dict[int, int] = {}
     for i, t in enumerate(_list(doc, "types")):
-        idx = _get(t, f"types[{i}]", "id", int)
+        idx = spec_field(t, f"types[{i}]", "id", int)
         if idx < 1:
             raise SpecFormatError(f"type ids are 1-based, got {idx}")
-        state_dims[idx] = _get(t, f"types[{i}]", "state_dim", int, default=1)
+        state_dims[idx] = spec_field(t, f"types[{i}]", "state_dim", int, default=1)
     n_types = max(state_dims) if state_dims else 0
     if set(state_dims) != set(range(1, n_types + 1)):
         raise SpecFormatError(f"type ids must cover 1..{n_types}, got {sorted(state_dims)}")
@@ -136,10 +120,10 @@ def parse_network(doc: dict) -> Network:
     cells: list[str] = []
     type_of: dict[str, int] = {}
     for i, entry in enumerate(_list(doc, "cells")):
-        cid = _get(entry, f"cells[{i}]", "id", str)
+        cid = spec_field(entry, f"cells[{i}]", "id", str)
         if cid in type_of:
             raise SpecFormatError(f"duplicate cell id {cid!r}")
-        t = _get(entry, f"cells[{i}]", "type", int)
+        t = spec_field(entry, f"cells[{i}]", "type", int)
         if t not in state_dims:
             raise SpecFormatError(f"cell {cid!r} has unknown type {t}")
         cells.append(cid)
@@ -157,7 +141,10 @@ def parse_network(doc: dict) -> Network:
             raise SpecFormatError(f"monoid key {key!r} is not 'target,source'") from None
         if pair[0] not in state_dims or pair[1] not in state_dims:
             raise SpecFormatError(f"monoid key {key!r} names an unknown type")
-        registry[pair] = monoid_by_name(str(name))
+        try:
+            registry[pair] = monoid_by_name(str(name))
+        except ValueError as exc:
+            raise SpecFormatError(f"monoids[{key!r}]: {exc}") from None
 
     n = len(cells)
     index = {cid: i for i, cid in enumerate(cells)}
@@ -196,7 +183,7 @@ def parse_network(doc: dict) -> Network:
 
     for i, edge in enumerate(_list(doc, "edges")):
         where = f"edges[{i}]"
-        to, frm = _get(edge, where, "to", str), _get(edge, where, "from", str)
+        to, frm = spec_field(edge, where, "to", str), spec_field(edge, where, "from", str)
         if "weight" not in edge:
             raise SpecFormatError(f"{where} is missing 'weight'")
         if to not in index or frm not in index:

@@ -43,6 +43,23 @@ class SpecFormatError(ValueError):
     """A JSON spec document is malformed."""
 
 
+def spec_field(entry: Any, where: str, key: str, convert: Callable[[Any], Any],
+               default: Any = None) -> Any:
+    """``convert(entry[key])``; a non-object entry, a missing key without a
+    default, or a value ``convert`` rejects raises SpecFormatError naming
+    ``where`` and ``key``."""
+    if not isinstance(entry, dict):
+        raise SpecFormatError(f"{where} must be an object, got {entry!r}")
+    if key not in entry:
+        if default is None:
+            raise SpecFormatError(f"{where} is missing {key!r}")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError):
+        raise SpecFormatError(f"{where}: bad {key!r} value {entry[key]!r}") from None
+
+
 def type_multiindex(inputs: Sequence[NeighborInput], n_types: int) -> MultiIndex:
     """Per-type input counts (the multi-index K(s) of a neighborhood)."""
     counts = [0] * n_types
@@ -465,7 +482,7 @@ class OracleSpec:
                     f0,
                     target_type=self.type_index,
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, SpecFormatError):
                 raise
             raise SpecFormatError(f"bad params for family {self.family!r}: {exc}") from exc
@@ -481,21 +498,27 @@ class OracleSpec:
         }
 
 
-def oracle_spec_from_json(doc: dict) -> OracleSpec:
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return dict(value)
+
+
+def oracle_spec_from_json(doc: dict, where: str = "oracle spec") -> OracleSpec:
+    """Parse and validate one spec; errors name ``where`` and the key."""
     if not isinstance(doc, dict):
-        raise SpecFormatError("oracle spec must be a JSON object")
-    try:
-        family = doc["family"]
-    except KeyError:
-        raise SpecFormatError("oracle spec is missing 'family'") from None
+        raise SpecFormatError(f"{where} must be a JSON object")
     spec = OracleSpec(
-        type_index=int(doc.get("type_index", 1)),
-        family=str(family),
-        params=dict(doc.get("params", {})),
-        f0=str(doc.get("f0", "zero")),
-        n_types=int(doc.get("n_types", 0)),
+        type_index=spec_field(doc, where, "type_index", int, default=1),
+        family=spec_field(doc, where, "family", str),
+        params=spec_field(doc, where, "params", _object, default={}),
+        f0=spec_field(doc, where, "f0", str, default="zero"),
+        n_types=spec_field(doc, where, "n_types", int, default=0),
     )
-    built = spec.build()  # validate eagerly and resolve the type count
+    try:
+        built = spec.build()  # validate eagerly and resolve the type count
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"{where}: {exc}") from None
     if spec.n_types != built.n_types:
         spec = dataclasses.replace(spec, n_types=built.n_types)
     return spec
@@ -508,5 +531,5 @@ def oracle_specs_from_json(doc: Any) -> list[OracleSpec]:
     if isinstance(doc, dict):
         return [oracle_spec_from_json(doc)]
     if isinstance(doc, list):
-        return [oracle_spec_from_json(d) for d in doc]
+        return [oracle_spec_from_json(d, f"oracles[{i}]") for i, d in enumerate(doc)]
     raise SpecFormatError("oracle document must be an object or a list of objects")

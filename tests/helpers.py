@@ -19,6 +19,7 @@ from ccndecomp import (
     make_free_parallel,
     monoid_by_name,
 )
+from ccndecomp.multiindex import iter_multiindices, ones
 from ccndecomp.oracle import BlackBoxOracle, NeighborInput, zero_f0
 
 
@@ -115,6 +116,59 @@ def random_polynomial_coeffs(rng: random.Random, bound=(4, 4)) -> dict:
             if any(k):
                 keys.add(k)
     return {k: Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)) for k in keys}
+
+
+# --- closed-form coupling reference -----------------------------------------
+
+def reference_closed_form_component(oracle):
+    """The closed-form coupling component as ``CouplingFamily.from_polynomial``
+    built it before its invariant work was hoisted out of the call: every
+    call re-sorts the coefficients, converts them to float and enumerates
+    the compositions again.  Kept as the reference for bit-equality tests."""
+    n_types = oracle.n_types
+    f0 = oracle.f0
+    frozen = dict(oracle.coeffs)
+
+    def component(x, inputs):
+        if not inputs:
+            return f0(x)
+        per_type = [[] for _ in range(n_types)]
+        for e in inputs:
+            per_type[e.type_index - 1].append(e.weight * e.state)
+        terms = []
+        for n_vec in sorted(frozen):
+            term = float(frozen[n_vec])
+            for j in range(n_types):
+                products = per_type[j]
+                n_j = n_vec[j]
+                if not products:
+                    if n_j:
+                        term = 0.0
+                        break
+                    continue
+                if n_j < len(products):
+                    term = 0.0
+                    break
+                inner = []
+                for m in iter_multiindices(len(products), ones(len(products)), norm_equals=n_j):
+                    piece = 1.0
+                    for p, exp in zip(products, m):
+                        piece *= p ** exp / math.factorial(exp)
+                    inner.append(piece)
+                term *= math.factorial(n_j) * math.fsum(inner)
+                if term == 0.0:
+                    break
+            terms.append(term)
+        return math.fsum(terms)
+
+    return component
+
+
+def reference_subsets(inputs):
+    """Every subset in increasing bitmask order, one n-step comprehension per
+    mask."""
+    n = len(inputs)
+    return [tuple(inputs[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
 
 
 # --- dense network reference ----------------------------------------------

@@ -21,6 +21,12 @@ def load(path):
     return json.loads(path.read_text())
 
 
+def run_cli(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "ccndecomp.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_verify_passes_clean_spec(data_dir, tmp_path):
     out = tmp_path / "report.json"
     code = run(["verify", data_dir / "net_single.json", data_dir / "oracle_power2.json",
@@ -217,6 +223,30 @@ def test_decompose_reports_match_golden(data_dir, tmp_path, oracle, points, extr
     assert out.read_bytes() == (data_dir / "golden" / golden).read_bytes()
 
 
+# Frozen before the closed-form coupling component and the subset
+# enumeration were rewritten.  The failing bool_or case and the exact
+# (--tol 0) two-type case record counterexamples, so their lhs/rhs floats pin
+# component values bit for bit, not only the pass flags.
+GOLDEN_VERIFY = [
+    ("net_twotype.json", "oracle_twotype.json", [], "twotype_verify.json"),
+    ("net_single.json", "oracle_power2.json", [], "power2_verify.json"),
+    ("net_single.json", "oracle_exponential.json", [], "exponential_verify.json"),
+    ("net_bool.json", "oracle_power2.json", [], "bool_power2_verify.json"),
+    ("net_twotype.json", "oracle_poly2.json", ["--tol", 0], "poly2_twotype_exact_verify.json"),
+]
+
+
+@pytest.mark.parametrize("net,oracle,extra,golden", GOLDEN_VERIFY,
+                         ids=[g[3].removesuffix(".json") for g in GOLDEN_VERIFY])
+def test_verify_reports_match_golden(data_dir, tmp_path, net, oracle, extra, golden):
+    out = tmp_path / "report.json"
+    code = run(["verify", data_dir / net, data_dir / oracle, "--seed", 7, "--trials", 300,
+                *extra, "--out", out])
+    expected = (data_dir / "golden" / golden).read_bytes()
+    assert code == (0 if json.loads(expected)["summary"]["ok"] else 1)
+    assert out.read_bytes() == expected
+
+
 @pytest.mark.parametrize("to", ["coupling", "basis"])
 def test_decompose_refuses_oversized_point_up_front(data_dir, tmp_path, capsys, to):
     points = tmp_path / "pts.json"
@@ -257,12 +287,7 @@ MALFORMED_POINTS = [
 def test_decompose_malformed_points_is_usage_error(data_dir, tmp_path, doc, message):
     points = tmp_path / "pts.json"
     points.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ccndecomp.cli", "decompose", str(data_dir / "oracle_power2.json"),
-         "--points", str(points)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli("decompose", data_dir / "oracle_power2.json", "--points", points)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
@@ -318,6 +343,8 @@ MALFORMED_NETWORKS = [
      "edges[0] is missing 'weight'"),
     ("edge_bad_weight", _decay_net(edges=[{"to": "u", "from": "u", "weight": "heavy"}]),
      "edges[0]: monoid additive_real expects a number"),
+    ("unknown_monoid", _decay_net(monoids={"1,1": "additive_complex"}),
+     "monoids['1,1']: unknown monoid id 'additive_complex'"),
 ]
 
 
@@ -326,13 +353,8 @@ MALFORMED_NETWORKS = [
 def test_simulate_malformed_network_is_usage_error(data_dir, tmp_path, doc, message):
     net = tmp_path / "net.json"
     net.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ccndecomp.cli", "simulate", str(net),
-         str(data_dir / "oracle_decay.json"), str(data_dir / "x0_decay.json"),
-         "--dt", "0.1", "--steps", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli("simulate", net, data_dir / "oracle_decay.json", data_dir / "x0_decay.json",
+                   "--dt", 0.1, "--steps", 2)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
@@ -365,3 +387,59 @@ def test_simulate_accepts_free_parallel_pair_without_edges(data_dir, tmp_path):
     code = run(["simulate", net, data_dir / "oracle_decay.json", data_dir / "x0_decay.json",
                 "--dt", 0.1, "--steps", 2, "--out", out])
     assert code == 0
+
+
+MALFORMED_X0 = [
+    ("list", [1.0], "x0 must map cell ids to states, got list"),
+    ("states_list", {"states": [1.0]}, "x0 must map cell ids to states, got list"),
+    ("null_state", {"u": None}, "cell 'u': bad state None"),
+    ("text_state", {"u": "warm"}, "cell 'u': bad state 'warm'"),
+    ("missing_cell", {"v": 1.0}, "x0 is missing cell 'u'"),
+]
+
+
+@pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_X0],
+                         ids=[m[0] for m in MALFORMED_X0])
+def test_simulate_malformed_x0_is_usage_error(data_dir, tmp_path, doc, message):
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps(doc))
+    proc = run_cli("simulate", data_dir / "net_decay.json", data_dir / "oracle_decay.json", x0,
+                   "--dt", 0.1, "--steps", 1)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{x0}: {message}" in proc.stderr
+
+
+_POWER2 = {"family": "polynomial", "params": {"coeffs": {"2": "1"}}}
+
+MALFORMED_ORACLES = [
+    ("type_index_text", dict(_POWER2, type_index="x"), "oracle spec: bad 'type_index' value 'x'"),
+    ("n_types_text", dict(_POWER2, n_types="q"), "oracle spec: bad 'n_types' value 'q'"),
+    ("params_list", dict(_POWER2, params=[1]), "oracle spec: bad 'params' value [1]"),
+    ("coeffs_list", dict(_POWER2, params={"coeffs": [1]}),
+     "oracle spec: bad params for family 'polynomial'"),
+    ("coeff_zero_denominator", dict(_POWER2, params={"coeffs": {"2": "1/0"}}),
+     "oracle spec: bad params for family 'polynomial'"),
+    ("missing_family", {"params": {}}, "oracle spec is missing 'family'"),
+    ("second_spec_bad", [_POWER2, dict(_POWER2, type_index=[2])],
+     "oracles[1]: bad 'type_index' value [2]"),
+    ("second_spec_not_object", {"oracles": [_POWER2, 5]}, "oracles[1] must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "simulate"])
+@pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_ORACLES],
+                         ids=[m[0] for m in MALFORMED_ORACLES])
+def test_malformed_oracle_spec_is_usage_error(data_dir, tmp_path, command, doc, message):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps(doc))
+    args = {
+        "verify": ["verify", data_dir / "net_single.json", oracle, "--trials", 5],
+        "decompose": ["decompose", oracle, "--points", data_dir / "points_power2.json"],
+        "simulate": ["simulate", data_dir / "net_decay.json", oracle, data_dir / "x0_decay.json",
+                     "--dt", 0.1, "--steps", 1],
+    }[command]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{oracle}: {message}" in proc.stderr

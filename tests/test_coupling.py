@@ -15,6 +15,7 @@ from ccndecomp.coupling import (
     locally_maximal_orders,
     polynomial_coupling_support,
     recompose,
+    subsets,
 )
 from ccndecomp.cli import _decompose_point
 from ccndecomp.monoid import make_additive_real, make_bool_or
@@ -30,7 +31,13 @@ from ccndecomp.oracle import (
     type_multiindex,
     zero_f0,
 )
-from helpers import random_inputs, shipped_oracles
+from helpers import (
+    finite_order_oracles,
+    random_inputs,
+    reference_closed_form_component,
+    reference_subsets,
+    shipped_oracles,
+)
 
 NI = NeighborInput
 
@@ -434,3 +441,60 @@ def test_basis_point_evaluates_each_multiplicity_vector_once():
     assert oracle.calls <= math.comb(7, 3) ** 2 == 1225
     unmemoized = _decompose_point(inner, x, inputs, "basis", bound)
     assert point == unmemoized
+
+
+CLOSED_FORM_ORACLES = [(name, oracle) for name, oracle, _ in finite_order_oracles()] + [
+    ("poly_multi_bench", build_polynomial_multi(
+        {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 4), (1, 1): Fraction(3, 8),
+         (2, 1): Fraction(1, 8), (1, 2): Fraction(-1, 8), (2, 2): Fraction(1, 16),
+         (3, 1): Fraction(1, 8), (0, 3): Fraction(-1, 8), (3, 3): Fraction(1, 32)},
+        n_types=2)),
+    ("nested_bench", build_nested([1, Fraction(1, 2), Fraction(1, 4)], [[1], [Fraction(-1, 2)]])),
+    ("poly_three_types", build_polynomial_multi(
+        {(1, 0, 0): Fraction(2, 3), (0, 2, 1): Fraction(-1, 2), (1, 1, 1): Fraction(5, 7),
+         (2, 0, 3): Fraction(1, 9), (3, 2, 1): Fraction(-3, 16)},
+        n_types=3)),
+]
+
+
+def closed_form_point(rng, n_types):
+    """Random neighborhood with 0-4 inputs per type (so empty types and more
+    inputs than a key's order both occur) and some zero weights of either
+    sign."""
+    entries = []
+    for j in range(n_types):
+        for _ in range(rng.randint(0, 4)):
+            weight = rng.choice((0.0, -0.0)) if rng.random() < 0.15 else rng.uniform(-1.5, 1.5)
+            entries.append(NI(j + 1, weight, rng.choice((rng.uniform(-1.5, 1.5), 0.0, -0.0))))
+    rng.shuffle(entries)
+    return rng.uniform(-1.0, 1.0), tuple(entries)
+
+
+@pytest.mark.parametrize("name,oracle", CLOSED_FORM_ORACLES,
+                         ids=[n for n, _ in CLOSED_FORM_ORACLES])
+def test_closed_form_component_bit_identical_to_reference(name, oracle):
+    family = CouplingFamily.from_polynomial(oracle)
+    reference = reference_closed_form_component(oracle)
+    rng = random.Random(name)
+    for _ in range(400):
+        x, inputs = closed_form_point(rng, oracle.n_types)
+        got, want = family.component(x, inputs), reference(x, inputs)
+        assert same_float(got, want), (inputs, got, want)
+
+
+def test_subsets_match_mask_comprehension():
+    for n in range(11):
+        inputs = tuple(NI(1 + i % 2, float(i), -float(i)) for i in range(n))
+        assert list(subsets(inputs)) == reference_subsets(inputs)
+        assert list(subsets(list(inputs))) == reference_subsets(inputs)
+
+
+def test_closed_form_zero_factor_ends_the_product_before_an_overflowing_one():
+    # The type-1 factor is 0; the type-2 factor would overflow to inf, and
+    # 0 * inf would turn the term into nan.
+    oracle = build_polynomial_multi({(1, 0): Fraction(1), (1, 3): Fraction(1, 2)}, n_types=2)
+    inputs = (NI(1, 0.0, 1.0),) + (NI(2, 1e110, 1.0),) * 3
+    family = CouplingFamily.from_polynomial(oracle)
+    got = family.component(0.5, inputs)
+    assert same_float(got, reference_closed_form_component(oracle)(0.5, inputs))
+    assert same_float(got, 0.0)
