@@ -20,7 +20,6 @@ from .coupling import (
     OrderReport,
     SizeCapExceeded,
     coupling_eval_explicit,
-    coupling_eval_recursive,
     coupling_family_check,
     coupling_order,
     locally_maximal_orders,
@@ -37,11 +36,9 @@ from .monoid import (
     monoid_by_name,
 )
 from .multiindex import (
-    Comparison,
     DimensionMismatch,
     MultiIndex,
     apply_multiplicity,
-    compare,
     compose_multiplicities,
     iter_multiindices,
     norm,

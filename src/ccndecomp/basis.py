@@ -19,23 +19,23 @@ multiply a component evaluation.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .coupling import EXPLICIT_SIZE_CAP, CouplingFamily, check_size_cap, subsets
-from .monoid import WeightMonoid, sample_dyadic
+from .monoid import WeightMonoid
 from .multiindex import MultiIndex, as_multiindex, iter_multiindices, norm
 from .oracle import (
     CellSpec,
+    NeighborhoodCheck,
     NeighborInput,
     OracleComponent,
     SpecFormatError,
     expand,
-    inputs_jsonable,
     parse_f0,
+    spec_int,
     type_multiindex,
     within_tolerance,
     zero_f0,
@@ -189,18 +189,18 @@ def basis_family_from_json(doc: dict) -> BasisFamily:
         for entry in entries:
             if entry.get("family", "monomial") != "monomial":
                 raise SpecFormatError(f"unknown basis component family {entry.get('family')!r}")
-            coeffs[tuple(int(e) for e in entry["k"])] = Fraction(str(entry["coeff"]))
+            coeffs[tuple(spec_int(e) for e in entry["k"])] = Fraction(str(entry["coeff"]))
+        declared = tuple(spec_int(e) for e in doc["support_bound"])
         fam = BasisFamily.polynomial(
             coeffs,
-            n_types=len(doc["support_bound"]),
+            n_types=len(declared),
             f0=parse_f0(str(doc.get("f0", "zero"))),
-            target_type=int(doc.get("type_index", 1)),
+            target_type=spec_int(doc.get("type_index", 1)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SpecFormatError):
             raise
         raise SpecFormatError(f"bad basis family spec: {exc}") from exc
-    declared = tuple(int(e) for e in doc["support_bound"])
     if not all(a <= b for a, b in zip(fam.support_bound, declared)) or len(declared) != fam.n_types:
         raise SpecFormatError("components exceed the declared support bound")
     return BasisFamily(
@@ -456,61 +456,30 @@ def basis_family_check(
     """Randomized check of the defining basis properties: permutation
     invariance, additivity in each weight coordinate, and annihilation by a
     zero weight anywhere."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if len(monoids) != bf.n_types:
-        raise ValueError(f"need one monoid per source type ({bf.n_types}), got {len(monoids)}")
-    rng = random.Random(seed)
-    report = CheckReport(
-        name="basis_family",
-        trials=trials,
-        seed=seed,
-        tolerance=tol,
-        checks={"permutation": True, "weight_additivity": True, "zero_kill": True},
-    )
-    for _ in range(trials):
-        entries: list[NeighborInput] = []
-        for j in range(bf.n_types):
-            for _ in range(rng.randint(0, max_per_type)):
-                entries.append(NeighborInput(j + 1, monoids[j].sample(rng), sample_dyadic(rng)))
-        rng.shuffle(entries)
-        inputs = tuple(entries)
-        x = sample_dyadic(rng)
+    check = NeighborhoodCheck("basis_family", ("permutation", "weight_additivity", "zero_kill"),
+                              bf.n_types, monoids, trials, seed, tol, max_per_type)
+    component, rng = bf.component, check.rng
 
-        if inputs:
-            shuffled = list(inputs)
-            rng.shuffle(shuffled)
-            lhs = bf.component(x, inputs)
-            rhs = bf.component(x, tuple(shuffled))
-            if not within_tolerance(lhs, rhs, tol):
-                report.record(
-                    "permutation", x=x, inputs=inputs_jsonable(inputs), lhs=lhs, rhs=rhs,
-                    diff=abs(lhs - rhs),
-                )
+    def probe(x: float, inputs: CellSpec) -> None:
+        if not inputs:
+            return
+        lhs, rhs = component(x, inputs), component(x, check.shuffled(inputs))
+        if not within_tolerance(lhs, rhs, tol):
+            check.fail("permutation", x, inputs, lhs, rhs)
+        head, tail = inputs[0], inputs[1:]
+        monoid = monoids[head.type_index - 1]
+        w1, w2 = monoid.sample(rng), monoid.sample(rng)
+        lhs = component(x, (head._replace(weight=monoid.combine(w1, w2)),) + tail)
+        rhs = (component(x, (head._replace(weight=w1),) + tail)
+               + component(x, (head._replace(weight=w2),) + tail))
+        if not within_tolerance(lhs, rhs, tol):
+            check.fail("weight_additivity", x, inputs, lhs, rhs, w1=w1, w2=w2)
+        killed = (head._replace(weight=monoid.zero),) + tail
+        value = component(x, killed)
+        if not within_tolerance(value, 0.0, tol):
+            check.fail("zero_kill", x, killed, value, 0.0)
 
-            head = inputs[0]
-            j = head.type_index - 1
-            w1, w2 = monoids[j].sample(rng), monoids[j].sample(rng)
-            both = (head._replace(weight=monoids[j].combine(w1, w2)),) + inputs[1:]
-            lhs = bf.component(x, both)
-            rhs = bf.component(x, (head._replace(weight=w1),) + inputs[1:]) + bf.component(
-                x, (head._replace(weight=w2),) + inputs[1:]
-            )
-            if not within_tolerance(lhs, rhs, tol):
-                report.record(
-                    "weight_additivity", x=x, inputs=inputs_jsonable(inputs), w1=w1, w2=w2,
-                    lhs=lhs, rhs=rhs, diff=abs(lhs - rhs),
-                )
-
-            j = inputs[0].type_index - 1
-            killed = (inputs[0]._replace(weight=monoids[j].zero),) + inputs[1:]
-            value = bf.component(x, killed)
-            if not within_tolerance(value, 0.0, tol):
-                report.record(
-                    "zero_kill", x=x, inputs=inputs_jsonable(killed), lhs=value, rhs=0.0,
-                    diff=abs(value),
-                )
-    return report
+    return check.run(probe)
 
 
 @dataclass
@@ -522,20 +491,6 @@ class ConvergenceReport:
     values: list[list[float]] = field(default_factory=list)
     successive: dict[int, float] = field(default_factory=dict)
     limit_errors: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def final_limit_error(self) -> float | None:
-        if not self.limit_errors:
-            return None
-        return self.limit_errors[max(self.limit_errors)]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "depths": self.depths,
-            "values": self.values,
-            "successive": {str(k): v for k, v in sorted(self.successive.items())},
-            "limit_errors": {str(k): v for k, v in sorted(self.limit_errors.items())},
-        }
 
 
 def truncation_sequence(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from .oracle import (
     SpecFormatError,
     admissibility_check,
     oracle_specs_from_json,
+    spec_field,
+    spec_int,
     type_multiindex,
 )
 from .stirling import identity_report, table
@@ -58,7 +61,7 @@ def _load_spec(path: str, parse):
 
 def _parse_x0(doc, path: str, cells: list[str]) -> dict[str, float]:
     """Initial state of every cell from an x0 document: {cell: state} or
-    {"states": {cell: state}}."""
+    {"states": {cell: state}}.  States must be finite numbers."""
     if isinstance(doc, dict) and "states" in doc:
         doc = doc["states"]
     if not isinstance(doc, dict):
@@ -68,9 +71,13 @@ def _parse_x0(doc, path: str, cells: list[str]) -> dict[str, float]:
         if cell not in doc:
             raise SpecFormatError(f"{path}: x0 is missing cell {cell!r}")
         try:
-            x0[cell] = float(doc[cell])
+            state = float(doc[cell])
         except (TypeError, ValueError, OverflowError):
-            raise SpecFormatError(f"{path}: cell {cell!r}: bad state {doc[cell]!r}") from None
+            state = math.nan  # refused below
+        if not math.isfinite(state):
+            raise SpecFormatError(
+                f"{path}: cell {cell!r}: bad state {doc[cell]!r}, expected a finite number")
+        x0[cell] = state
     return x0
 
 
@@ -91,7 +98,10 @@ def _parse_inputs(raw) -> tuple[NeighborInput, ...]:
             w = entry["weight"]
             if isinstance(w, list):
                 w = tuple(w)
-            out.append(NeighborInput(int(entry["type"]), w, float(entry["state"])))
+            t = spec_field(entry, "neighborhood entry", "type", spec_int)
+            out.append(NeighborInput(t, w, float(entry["state"])))
+        except SpecFormatError:
+            raise
         except KeyError as missing:
             raise SpecFormatError(f"neighborhood entry is missing {missing}") from None
         except (TypeError, ValueError) as exc:
@@ -277,8 +287,8 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.dt <= 0:
-        print(f"error: --dt must be positive, got {args.dt}", file=sys.stderr)
+    if not 0 < args.dt < math.inf:
+        print(f"error: --dt must be positive and finite, got {args.dt}", file=sys.stderr)
         return 2
     net = _load_spec(args.network, parse_network)
     types = [net.type_of[cell] for cell in net.cells]
@@ -313,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify and decompose admissible functions on weighted cell networks.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=10000)
-    common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run the property checkers on specs")
     p.add_argument("network")
     p.add_argument("oracle")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", parents=[common], help="per-point component values")

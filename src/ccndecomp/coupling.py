@@ -26,16 +26,18 @@ from .monoid import WeightMonoid, sample_dyadic
 from .multiindex import MultiIndex, iter_multiindices, norm, ones, zero_pattern, zeros
 from .oracle import (
     CellSpec,
+    NeighborhoodCheck,
     NeighborInput,
     OracleComponent,
     PolynomialOracle,
-    inputs_jsonable,
     within_tolerance,
 )
 from .report import CheckReport
 
 EXPLICIT_SIZE_CAP = 20
-RECURSIVE_SIZE_CAP = 12
+# recompose calls a family's component once per subset; a from_oracle family
+# spends 2^|s| evaluations on subset s, 3^n in all.
+RECOMPOSE_SIZE_CAP = 12
 
 
 class SizeCapExceeded(ValueError):
@@ -133,43 +135,6 @@ def coupling_components(
     return [g / scale for g in grid]
 
 
-def coupling_eval_recursive(
-    oracle: OracleComponent,
-    x: float,
-    inputs: Sequence[NeighborInput],
-    max_size: int = RECURSIVE_SIZE_CAP,
-) -> float:
-    """Same value as :func:`coupling_eval_explicit` via the recursive
-    definition (whole response minus all strictly smaller components),
-    memoized over subset bitmasks."""
-    inputs = tuple(inputs)
-    n = len(inputs)
-    check_size_cap(inputs, max_size)
-    table = list(subsets(inputs))
-    memo: dict[int, float] = {}
-
-    def strict_submasks(mask: int) -> Iterable[int]:
-        if mask == 0:
-            return
-        sub = (mask - 1) & mask
-        while True:
-            yield sub
-            if sub == 0:
-                return
-            sub = (sub - 1) & mask
-
-    def component(mask: int) -> float:
-        if mask in memo:
-            return memo[mask]
-        value = oracle.evaluate(x, table[mask]) - math.fsum(
-            component(sub) for sub in strict_submasks(mask)
-        )
-        memo[mask] = value
-        return value
-
-    return component((1 << n) - 1)
-
-
 @dataclass(frozen=True)
 class CouplingFamily:
     """Family of coupling components for one target type.
@@ -187,17 +152,11 @@ class CouplingFamily:
     support: frozenset[MultiIndex] | None = None
 
     @classmethod
-    def from_oracle(cls, oracle: OracleComponent, method: str = "explicit") -> "CouplingFamily":
+    def from_oracle(cls, oracle: OracleComponent) -> "CouplingFamily":
         """Derive the family from any component via the subset sums."""
-        if method == "explicit":
-            fn = coupling_eval_explicit
-        elif method == "recursive":
-            fn = coupling_eval_recursive
-        else:
-            raise ValueError(f"unknown method {method!r}")
 
         def component(x: float, inputs: CellSpec) -> float:
-            return fn(oracle, x, inputs)
+            return coupling_eval_explicit(oracle, x, inputs)
 
         coeffs = oracle.coeffs
         support = None if coeffs is None else polynomial_coupling_support(coeffs.keys())
@@ -299,7 +258,7 @@ def recompose(
     source: OracleComponent | CouplingFamily,
     x: float,
     inputs: Sequence[NeighborInput],
-    max_size: int = RECURSIVE_SIZE_CAP,
+    max_size: int = RECOMPOSE_SIZE_CAP,
 ) -> float:
     """Rebuild the whole response as the sum of coupling components over all
     subsets of the neighborhood."""
@@ -322,64 +281,28 @@ def coupling_family_check(
     coupling family: permutation invariance, the three-term merge expansion
     linking the component to the next order up, and annihilation by any zero
     weight."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if len(monoids) != family.n_types:
-        raise ValueError(f"need one monoid per source type ({family.n_types}), got {len(monoids)}")
-    rng = random.Random(seed)
-    report = CheckReport(
-        name="coupling_family",
-        trials=trials,
-        seed=seed,
-        tolerance=tol,
-        checks={"permutation": True, "merge_expansion": True, "zero_kill": True},
-    )
-    for _ in range(trials):
-        entries: list[NeighborInput] = []
-        for j in range(family.n_types):
-            for _ in range(rng.randint(0, max_per_type)):
-                entries.append(NeighborInput(j + 1, monoids[j].sample(rng), sample_dyadic(rng)))
-        rng.shuffle(entries)
-        rest = tuple(entries)
-        x = sample_dyadic(rng)
+    check = NeighborhoodCheck("coupling_family", ("permutation", "merge_expansion", "zero_kill"),
+                              family.n_types, monoids, trials, seed, tol, max_per_type)
+    component = family.component
 
+    def probe(x: float, rest: CellSpec) -> None:
         if rest:
-            shuffled = list(rest)
-            rng.shuffle(shuffled)
-            lhs = family.component(x, rest)
-            rhs = family.component(x, tuple(shuffled))
+            lhs, rhs = component(x, rest), component(x, check.shuffled(rest))
             if not within_tolerance(lhs, rhs, tol):
-                report.record(
-                    "permutation", x=x, inputs=inputs_jsonable(rest), lhs=lhs, rhs=rhs,
-                    diff=abs(lhs - rhs),
-                )
-
-        j = rng.randrange(family.n_types)
-        w1, w2 = monoids[j].sample(rng), monoids[j].sample(rng)
-        x12 = sample_dyadic(rng)
-        merged = (NeighborInput(j + 1, monoids[j].combine(w1, w2), x12),) + rest
-        one = (NeighborInput(j + 1, w1, x12),) + rest
-        two = (NeighborInput(j + 1, w2, x12),) + rest
-        both = (NeighborInput(j + 1, w1, x12), NeighborInput(j + 1, w2, x12)) + rest
-        lhs = family.component(x, merged)
-        rhs = math.fsum(
-            (family.component(x, one), family.component(x, two), family.component(x, both))
-        )
+                check.fail("permutation", x, rest, lhs, rhs)
+        one, two, merged = check.merge_pair()
+        lhs = component(x, (merged,) + rest)
+        rhs = math.fsum((component(x, (one,) + rest), component(x, (two,) + rest),
+                         component(x, (one, two) + rest)))
         if not within_tolerance(lhs, rhs, tol):
-            report.record(
-                "merge_expansion", x=x, inputs=inputs_jsonable(rest), source_type=j + 1,
-                w1=w1, w2=w2, shared_state=x12, lhs=lhs, rhs=rhs, diff=abs(lhs - rhs),
-            )
-
-        j = rng.randrange(family.n_types)
-        killed = (NeighborInput(j + 1, monoids[j].zero, sample_dyadic(rng)),) + rest
-        value = family.component(x, killed)
+            check.fail("merge_expansion", x, rest, lhs, rhs, source_type=one.type_index,
+                       w1=one.weight, w2=two.weight, shared_state=one.state)
+        killed = (check.zero_input(),) + rest
+        value = component(x, killed)
         if not within_tolerance(value, 0.0, tol):
-            report.record(
-                "zero_kill", x=x, inputs=inputs_jsonable(killed), lhs=value, rhs=0.0,
-                diff=abs(value),
-            )
-    return report
+            check.fail("zero_kill", x, killed, value, 0.0)
+
+    return check.run(probe)
 
 
 @dataclass(frozen=True)

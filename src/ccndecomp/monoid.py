@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .report import CheckReport
+
 
 def sample_dyadic(rng: random.Random, lo: float = -2.0, hi: float = 2.0, denom: int = 64) -> float:
     """Random multiple of 1/denom in [lo, hi]; sums of these are exact in
@@ -150,55 +152,24 @@ def monoid_by_name(name: str) -> WeightMonoid:
 MonoidRegistry = dict[tuple[int, int], WeightMonoid]
 
 
-@dataclass
-class LawReport:
-    """Outcome of randomized monoid-law checking."""
-
-    monoid: str
-    trials: int
-    seed: int
-    commutative_ok: bool = True
-    associative_ok: bool = True
-    identity_ok: bool = True
-    counterexamples: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.commutative_ok and self.associative_ok and self.identity_ok
-
-    def to_jsonable(self) -> dict:
-        return {
-            "monoid": self.monoid,
-            "trials": self.trials,
-            "seed": self.seed,
-            "commutative_ok": self.commutative_ok,
-            "associative_ok": self.associative_ok,
-            "identity_ok": self.identity_ok,
-            "counterexamples": self.counterexamples,
-        }
-
-
-def check_laws(m: WeightMonoid, trials: int, seed: int) -> LawReport:
+def check_laws(m: WeightMonoid, trials: int, seed: int) -> CheckReport:
     """Probe commutativity, associativity and the identity law on ``trials``
     random samples.  Deterministic for a given seed; the first counterexample
     per law is recorded and that law is not probed further."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    report = CheckReport.start(f"{m.name}_laws", ("commutative", "associative", "identity"),
+                               trials, seed)
+    checks = report.checks
     rng = random.Random(seed)
-    report = LawReport(monoid=m.name, trials=trials, seed=seed)
     for _ in range(trials):
         a, b, c = m.sample(rng), m.sample(rng), m.sample(rng)
-        if report.commutative_ok and not m.equal(m.combine(a, b), m.combine(b, a)):
-            report.commutative_ok = False
-            report.counterexamples["commutative"] = {"a": a, "b": b}
-        if report.associative_ok and not m.equal(
+        if checks["commutative"] and not m.equal(m.combine(a, b), m.combine(b, a)):
+            report.record("commutative", a=a, b=b)
+        if checks["associative"] and not m.equal(
             m.combine(m.combine(a, b), c), m.combine(a, m.combine(b, c))
         ):
-            report.associative_ok = False
-            report.counterexamples["associative"] = {"a": a, "b": b, "c": c}
-        if report.identity_ok and not m.equal(m.combine(m.zero, a), a):
-            report.identity_ok = False
-            report.counterexamples["identity"] = {"a": a}
-        if not (report.commutative_ok or report.associative_ok or report.identity_ok):
+            report.record("associative", a=a, b=b, c=c)
+        if checks["identity"] and not m.equal(m.combine(m.zero, a), a):
+            report.record("identity", a=a)
+        if not any(checks.values()):
             break
     return report

@@ -1,4 +1,4 @@
-"""Multi-index arithmetic: partial order, multiplicities, constrained enumeration.
+"""Multi-index arithmetic: multiplicities and constrained enumeration.
 
 A multi-index is a tuple of non-negative integers.  A multiplicity is a
 multi-index read as repetition counts: applying ``m`` to a vector ``v``
@@ -10,7 +10,6 @@ is safe to share between threads.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -20,13 +19,6 @@ MultiIndex = tuple[int, ...]
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible tupleness."""
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 def as_multiindex(entries: Sequence[int]) -> MultiIndex:
@@ -51,42 +43,6 @@ def zeros(k: int) -> MultiIndex:
 
 def ones(k: int) -> MultiIndex:
     return (1,) * k
-
-
-def unit(k: int, j: int) -> MultiIndex:
-    """The k-tuple with a single 1 in (zero-based) position ``j``."""
-    if not 0 <= j < k:
-        raise IndexError(f"unit position {j} out of range for tupleness {k}")
-    return tuple(1 if i == j else 0 for i in range(k))
-
-
-def add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"tupleness mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Entrywise a <= b."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"tupleness mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
-
-
-def compare(a: Sequence[int], b: Sequence[int]) -> Comparison:
-    """Entrywise partial-order comparison; INCOMPARABLE when entries disagree
-    in both directions."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"tupleness mismatch: {len(a)} vs {len(b)}")
-    some_less = any(x < y for x, y in zip(a, b))
-    some_greater = any(x > y for x, y in zip(a, b))
-    if some_less and some_greater:
-        return Comparison.INCOMPARABLE
-    if some_less:
-        return Comparison.LESS
-    if some_greater:
-        return Comparison.GREATER
-    return Comparison.EQUAL
 
 
 def zero_pattern(m: Sequence[int]) -> tuple[bool, ...]:

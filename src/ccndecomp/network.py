@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .monoid import MonoidRegistry, WeightMonoid, monoid_by_name
-from .oracle import NeighborInput, OracleComponent, SpecFormatError, spec_field
+from .oracle import NeighborInput, OracleComponent, SpecFormatError, spec_field, spec_int
 
 
 class DivergenceError(RuntimeError):
@@ -109,10 +109,10 @@ def parse_network(doc: dict) -> Network:
 
     state_dims: dict[int, int] = {}
     for i, t in enumerate(_list(doc, "types")):
-        idx = spec_field(t, f"types[{i}]", "id", int)
+        idx = spec_field(t, f"types[{i}]", "id", spec_int)
         if idx < 1:
             raise SpecFormatError(f"type ids are 1-based, got {idx}")
-        state_dims[idx] = spec_field(t, f"types[{i}]", "state_dim", int, default=1)
+        state_dims[idx] = spec_field(t, f"types[{i}]", "state_dim", spec_int, default=1)
     n_types = max(state_dims) if state_dims else 0
     if set(state_dims) != set(range(1, n_types + 1)):
         raise SpecFormatError(f"type ids must cover 1..{n_types}, got {sorted(state_dims)}")
@@ -123,7 +123,7 @@ def parse_network(doc: dict) -> Network:
         cid = spec_field(entry, f"cells[{i}]", "id", str)
         if cid in type_of:
             raise SpecFormatError(f"duplicate cell id {cid!r}")
-        t = spec_field(entry, f"cells[{i}]", "type", int)
+        t = spec_field(entry, f"cells[{i}]", "type", spec_int)
         if t not in state_dims:
             raise SpecFormatError(f"cell {cid!r} has unknown type {t}")
         cells.append(cid)

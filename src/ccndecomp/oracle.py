@@ -15,6 +15,7 @@ pointwise subset decomposition.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -43,21 +44,33 @@ class SpecFormatError(ValueError):
     """A JSON spec document is malformed."""
 
 
+_REQUIRED = object()
+
+
 def spec_field(entry: Any, where: str, key: str, convert: Callable[[Any], Any],
-               default: Any = None) -> Any:
+               default: Any = _REQUIRED) -> Any:
     """``convert(entry[key])``; a non-object entry, a missing key without a
     default, or a value ``convert`` rejects raises SpecFormatError naming
     ``where`` and ``key``."""
     if not isinstance(entry, dict):
         raise SpecFormatError(f"{where} must be an object, got {entry!r}")
     if key not in entry:
-        if default is None:
+        if default is _REQUIRED:
             raise SpecFormatError(f"{where} is missing {key!r}")
         return default
     try:
         return convert(entry[key])
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, ArithmeticError):
         raise SpecFormatError(f"{where}: bad {key!r} value {entry[key]!r}") from None
+
+
+def spec_int(value: Any) -> int:
+    """An integer spec value: an int, an integral float or a decimal string.
+    Booleans and non-integral numbers such as 1.5 are refused, not
+    truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def type_multiindex(inputs: Sequence[NeighborInput], n_types: int) -> MultiIndex:
@@ -96,9 +109,6 @@ class OracleComponent:
 
     def evaluate(self, x: float, inputs: Sequence[NeighborInput]) -> float:
         raise NotImplementedError
-
-    def __call__(self, x: float, inputs: Sequence[NeighborInput]) -> float:
-        return self.evaluate(x, inputs)
 
     @property
     def coeffs(self) -> Mapping[MultiIndex, Fraction] | None:
@@ -343,6 +353,66 @@ def within_tolerance(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+class NeighborhoodCheck:
+    """The trial loop shared by the randomized neighborhood checkers.
+
+    Each trial samples a typed neighborhood from one seeded RNG (0 to
+    ``max_per_type`` inputs per source type, weights from that type's monoid,
+    dyadic states), shuffles it, draws a dyadic cell state ``x`` and calls
+    the checker's ``probe(x, inputs)``.  Probes take their further random
+    draws from :meth:`shuffled`, :meth:`merge_pair` and :meth:`zero_input`,
+    so the draw order, and with it every report, is fixed by the seed.
+    """
+
+    def __init__(self, name: str, props: Sequence[str], n_types: int,
+                 monoids: Sequence[WeightMonoid], trials: int, seed: int, tol: float,
+                 max_per_type: int) -> None:
+        self.report = CheckReport.start(name, props, trials, seed, tol)
+        if len(monoids) != n_types:
+            raise ValueError(f"need one monoid per source type ({n_types}), got {len(monoids)}")
+        self.monoids, self.max_per_type, self.rng = monoids, max_per_type, random.Random(seed)
+
+    def run(self, probe: Callable[[float, CellSpec], None]) -> CheckReport:
+        rng, monoids = self.rng, self.monoids
+        for _ in range(self.report.trials):
+            entries: list[NeighborInput] = []
+            for j, monoid in enumerate(monoids):
+                for _ in range(rng.randint(0, self.max_per_type)):
+                    entries.append(NeighborInput(j + 1, monoid.sample(rng), sample_dyadic(rng)))
+            rng.shuffle(entries)
+            probe(sample_dyadic(rng), tuple(entries))
+        return self.report
+
+    def shuffled(self, inputs: CellSpec) -> CellSpec:
+        """A randomly permuted copy of the inputs."""
+        out = list(inputs)
+        self.rng.shuffle(out)
+        return tuple(out)
+
+    def merge_pair(self) -> tuple[NeighborInput, NeighborInput, NeighborInput]:
+        """Two inputs of a random source type sharing a fresh state, and the
+        single input carrying their parallel-combined weight."""
+        j = self.rng.randrange(len(self.monoids))
+        monoid = self.monoids[j]
+        w1, w2 = monoid.sample(self.rng), monoid.sample(self.rng)
+        state = sample_dyadic(self.rng)
+        return (NeighborInput(j + 1, w1, state), NeighborInput(j + 1, w2, state),
+                NeighborInput(j + 1, monoid.combine(w1, w2), state))
+
+    def zero_input(self) -> NeighborInput:
+        """An input of a random source type carrying that type's zero weight."""
+        j = self.rng.randrange(len(self.monoids))
+        return NeighborInput(j + 1, self.monoids[j].zero, sample_dyadic(self.rng))
+
+    def fail(self, prop: str, x: float, inputs: CellSpec, lhs: float, rhs: float,
+             **details: Any) -> None:
+        """Record a violated ``lhs == rhs``.  Probes test the tolerance
+        themselves and call this only on failure, so no witness is built
+        for a passing probe."""
+        self.report.record(prop, x=x, inputs=inputs_jsonable(inputs), **details,
+                           lhs=lhs, rhs=rhs, diff=abs(lhs - rhs))
+
+
 def admissibility_check(
     oracle: OracleComponent,
     monoids: Sequence[WeightMonoid],
@@ -369,66 +439,33 @@ def admissibility_check(
     Deterministic per seed.  Failures land in the report's counterexamples
     with both sides of the violated equality.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if len(monoids) != oracle.n_types:
-        raise ValueError(f"need one monoid per source type ({oracle.n_types}), got {len(monoids)}")
-    rng = random.Random(seed)
-    report = CheckReport(
-        name="admissibility",
-        trials=trials,
-        seed=seed,
-        tolerance=tol,
-        checks={"permutation": True, "merge": True, "zero_removal": True, "determinism": True},
+    check = NeighborhoodCheck(
+        "admissibility", ("permutation", "merge", "zero_removal", "determinism"),
+        oracle.n_types, monoids, trials, seed, tol, max_per_type,
     )
-    for _ in range(trials):
-        entries: list[NeighborInput] = []
-        for j in range(oracle.n_types):
-            for _ in range(rng.randint(0, max_per_type)):
-                entries.append(NeighborInput(j + 1, monoids[j].sample(rng), sample_dyadic(rng)))
-        rng.shuffle(entries)
-        inputs = tuple(entries)
-        x = sample_dyadic(rng)
-        base = oracle.evaluate(x, inputs)
+    f = oracle.evaluate
 
-        if oracle.evaluate(x, inputs) != base:
-            report.record(
-                "determinism", x=x, inputs=inputs_jsonable(inputs), lhs=base,
-                rhs=oracle.evaluate(x, inputs),
-            )
-
-        shuffled = list(inputs)
-        rng.shuffle(shuffled)
-        permuted = oracle.evaluate(x, tuple(shuffled))
+    def probe(x: float, inputs: CellSpec) -> None:
+        base, again = f(x, inputs), f(x, inputs)
+        if again != base:
+            check.report.record("determinism", x=x, inputs=inputs_jsonable(inputs),
+                                lhs=base, rhs=again)
+        shuffled = check.shuffled(inputs)
+        permuted = f(x, shuffled)
         if not within_tolerance(base, permuted, tol):
-            report.record(
-                "permutation", x=x, inputs=inputs_jsonable(inputs),
-                permuted=inputs_jsonable(shuffled), lhs=base, rhs=permuted,
-                diff=abs(base - permuted),
-            )
-
-        j = rng.randrange(oracle.n_types)
-        w1, w2 = monoids[j].sample(rng), monoids[j].sample(rng)
-        x12 = sample_dyadic(rng)
-        merged = (NeighborInput(j + 1, monoids[j].combine(w1, w2), x12),) + inputs
-        split = (NeighborInput(j + 1, w1, x12), NeighborInput(j + 1, w2, x12)) + inputs
-        lhs = oracle.evaluate(x, merged)
-        rhs = oracle.evaluate(x, split)
+            check.fail("permutation", x, inputs, base, permuted,
+                       permuted=inputs_jsonable(shuffled))
+        one, two, merged = check.merge_pair()
+        lhs, rhs = f(x, (merged,) + inputs), f(x, (one, two) + inputs)
         if not within_tolerance(lhs, rhs, tol):
-            report.record(
-                "merge", x=x, inputs=inputs_jsonable(inputs), source_type=j + 1,
-                w1=w1, w2=w2, shared_state=x12, lhs=lhs, rhs=rhs, diff=abs(lhs - rhs),
-            )
-
-        j = rng.randrange(oracle.n_types)
-        padded = (NeighborInput(j + 1, monoids[j].zero, sample_dyadic(rng)),) + inputs
-        with_zero = oracle.evaluate(x, padded)
+            check.fail("merge", x, inputs, lhs, rhs, source_type=one.type_index,
+                       w1=one.weight, w2=two.weight, shared_state=one.state)
+        padded = (check.zero_input(),) + inputs
+        with_zero = f(x, padded)
         if not within_tolerance(with_zero, base, tol):
-            report.record(
-                "zero_removal", x=x, inputs=inputs_jsonable(padded), lhs=with_zero,
-                rhs=base, diff=abs(with_zero - base),
-            )
-    return report
+            check.fail("zero_removal", x, padded, with_zero, base)
+
+    return check.run(probe)
 
 
 # --- JSON specs -------------------------------------------------------------
@@ -457,34 +494,33 @@ class OracleSpec:
 
     def build(self) -> OracleComponent:
         f0 = parse_f0(self.f0)
+        param = functools.partial(spec_field, self.params, "params")
         try:
             if self.family == "polynomial":
-                coeffs = {int(d): Fraction(str(a)) for d, a in self.params["coeffs"].items()}
+                coeffs = param("coeffs", _coeff_map(spec_int))
                 return build_polynomial_single(coeffs, f0, target_type=self.type_index)
             if self.family == "polynomial_multi":
-                coeffs = {
-                    tuple(int(p) for p in key.split(",")): Fraction(str(a))
-                    for key, a in self.params["coeffs"].items()
-                }
+                coeffs = param("coeffs", _coeff_map(
+                    lambda key: tuple(spec_int(p) for p in key.split(","))))
                 return build_polynomial_multi(
                     coeffs, f0, n_types=self.n_types or None, target_type=self.type_index
                 )
             if self.family == "exponential":
-                return build_exponential(self.params.get("truncation"), f0, target_type=self.type_index)
+                truncation = param("truncation", lambda t: t if t is None else spec_int(t),
+                                   default=None)
+                return build_exponential(truncation, f0, target_type=self.type_index)
             if self.family == "symmetric_power":
                 return build_symmetric_power(
-                    int(self.params["n"]), int(self.params["k"]), f0, target_type=self.type_index
+                    param("n", spec_int), param("k", spec_int), f0, target_type=self.type_index
                 )
             if self.family == "nested":
                 return build_nested(
-                    [Fraction(str(a)) for a in self.params["outer"]],
-                    [[Fraction(str(a)) for a in row] for row in self.params["inner"]],
+                    param("outer", _list_of(_rational)),
+                    param("inner", _list_of(_list_of(_rational))),
                     f0,
                     target_type=self.type_index,
                 )
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, SpecFormatError):
-                raise
+        except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
             raise SpecFormatError(f"bad params for family {self.family!r}: {exc}") from exc
         raise SpecFormatError(f"unknown oracle family {self.family!r}")
 
@@ -504,16 +540,34 @@ def _object(value: Any) -> dict:
     return dict(value)
 
 
+def _rational(value: Any) -> Fraction:
+    return Fraction(str(value))
+
+
+def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], list]:
+    def parse(value: Any) -> list:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [convert(v) for v in value]
+
+    return parse
+
+
+def _coeff_map(key: Callable[[str], Any]) -> Callable[[Any], dict]:
+    """Parser of a {key: rational} coefficient object."""
+    return lambda value: {key(k): _rational(a) for k, a in _object(value).items()}
+
+
 def oracle_spec_from_json(doc: dict, where: str = "oracle spec") -> OracleSpec:
     """Parse and validate one spec; errors name ``where`` and the key."""
     if not isinstance(doc, dict):
         raise SpecFormatError(f"{where} must be a JSON object")
     spec = OracleSpec(
-        type_index=spec_field(doc, where, "type_index", int, default=1),
+        type_index=spec_field(doc, where, "type_index", spec_int, default=1),
         family=spec_field(doc, where, "family", str),
         params=spec_field(doc, where, "params", _object, default={}),
         f0=spec_field(doc, where, "f0", str, default="zero"),
-        n_types=spec_field(doc, where, "n_types", int, default=0),
+        n_types=spec_field(doc, where, "n_types", spec_int, default=0),
     )
     try:
         built = spec.build()  # validate eagerly and resolve the type count

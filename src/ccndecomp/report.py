@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 
 def jsonable(value: Any) -> Any:
@@ -33,6 +33,15 @@ class CheckReport:
     tolerance: float | None
     checks: dict[str, bool]
     counterexamples: list[dict] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, name: str, props: Iterable[str], trials: int, seed: int,
+              tolerance: float | None = None) -> "CheckReport":
+        """A report with every property passing, for a run of ``trials``
+        random trials (at least one)."""
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        return cls(name, trials, seed, tolerance, dict.fromkeys(props, True))
 
     @property
     def ok(self) -> bool:

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterable, Sequence
 
 from ccndecomp import (
     build_exponential,
@@ -19,8 +20,9 @@ from ccndecomp import (
     make_free_parallel,
     monoid_by_name,
 )
+from ccndecomp.coupling import check_size_cap, subsets
 from ccndecomp.multiindex import iter_multiindices, ones
-from ccndecomp.oracle import BlackBoxOracle, NeighborInput, zero_f0
+from ccndecomp.oracle import BlackBoxOracle, NeighborInput, OracleComponent, zero_f0
 
 
 def shipped_oracles():
@@ -164,6 +166,48 @@ def reference_closed_form_component(oracle):
     return component
 
 
+# --- recursive coupling reference -------------------------------------------
+
+RECURSIVE_SIZE_CAP = 12
+
+
+def coupling_eval_recursive(
+    oracle: OracleComponent,
+    x: float,
+    inputs: Sequence[NeighborInput],
+    max_size: int = RECURSIVE_SIZE_CAP,
+) -> float:
+    """Same value as :func:`coupling_eval_explicit` via the recursive
+    definition (whole response minus all strictly smaller components),
+    memoized over subset bitmasks."""
+    inputs = tuple(inputs)
+    n = len(inputs)
+    check_size_cap(inputs, max_size)
+    table = list(subsets(inputs))
+    memo: dict[int, float] = {}
+
+    def strict_submasks(mask: int) -> Iterable[int]:
+        if mask == 0:
+            return
+        sub = (mask - 1) & mask
+        while True:
+            yield sub
+            if sub == 0:
+                return
+            sub = (sub - 1) & mask
+
+    def component(mask: int) -> float:
+        if mask in memo:
+            return memo[mask]
+        value = oracle.evaluate(x, table[mask]) - math.fsum(
+            component(sub) for sub in strict_submasks(mask)
+        )
+        memo[mask] = value
+        return value
+
+    return component((1 << n) - 1)
+
+
 def reference_subsets(inputs):
     """Every subset in increasing bitmask order, one n-step comprehension per
     mask."""
@@ -249,3 +293,42 @@ def count_set_partitions(n: int, k: int) -> int:
         return total
 
     return rec(0, [])
+
+
+# --- checker-report golden --------------------------------------------------
+
+def checker_golden_reports(seed: int = 3, trials: int = 200) -> dict:
+    """``to_jsonable()`` of the three neighborhood checkers on each broken
+    component (its evaluator doubling as the coupling and basis component),
+    plus the coupling and basis family checks of the closed-form square
+    under ``bool_or`` weights.  Pins the sampler's draw order and the
+    witness format, including the tuple weights of ``free_parallel``."""
+    from ccndecomp import (
+        BasisFamily,
+        CouplingFamily,
+        admissibility_check,
+        basis_family_check,
+        coupling_family_check,
+        make_bool_or,
+    )
+
+    reports = {}
+    for name, make in (("merge", broken_merge_oracle), ("zero", broken_zero_oracle),
+                       ("permutation", broken_permutation_oracle)):
+        oracle, monoids = make()
+        coupling = CouplingFamily.from_oracle(oracle)
+        basis = BasisFamily(1, 1, (3,), oracle.evaluate)
+        reports[name] = {
+            "admissibility": admissibility_check(oracle, monoids, trials, seed).to_jsonable(),
+            "coupling_family": coupling_family_check(coupling, monoids, trials, seed).to_jsonable(),
+            "basis_family": basis_family_check(basis, monoids, trials, seed).to_jsonable(),
+        }
+    square = build_polynomial_single({2: 1})
+    bool_or = [make_bool_or()]
+    reports["bool_or_square"] = {
+        "coupling_family": coupling_family_check(
+            CouplingFamily.from_polynomial(square), bool_or, trials, seed).to_jsonable(),
+        "basis_family": basis_family_check(
+            BasisFamily.polynomial(square.coeffs), bool_or, trials, seed).to_jsonable(),
+    }
+    return reports

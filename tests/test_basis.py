@@ -387,3 +387,8 @@ def test_basis_family_json_errors():
         basis_family_from_json({"support_bound": [1], "components": [{"k": [2], "coeff": "1"}]})
     with pytest.raises(SpecFormatError):
         basis_family_from_json({"components": []})
+    for bad in ({"support_bound": ["x"], "components": []},
+                {"support_bound": [2], "components": [{"k": [1.5], "coeff": "1"}]},
+                {"support_bound": [2], "type_index": True, "components": []}):
+        with pytest.raises(SpecFormatError):
+            basis_family_from_json(bad)

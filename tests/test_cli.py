@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ccndecomp
-from ccndecomp.cli import main
+from ccndecomp.cli import build_parser, main
 from ccndecomp.network import network_to_json, parse_network
 from ccndecomp.oracle import oracle_specs_from_json
 
@@ -21,10 +21,20 @@ def load(path):
     return json.loads(path.read_text())
 
 
-def run_cli(*args):
-    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "ccndecomp.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=60)
+@pytest.fixture(scope="session")
+def run_cli(tmp_path_factory):
+    """Runs the CLI in a child process.  The children of one test session
+    share a bytecode cache outside the source tree, so only the first one
+    compiles the package and the standard library modules it imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ccndecomp.__file__).parents[1]),
+               PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ccndecomp.cli", *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    return run
 
 
 def test_verify_passes_clean_spec(data_dir, tmp_path):
@@ -147,10 +157,11 @@ def test_simulate_decay(data_dir, tmp_path):
 
 
 def test_simulate_rejects_bad_dt(data_dir, capsys):
-    code = run(["simulate", data_dir / "net_decay.json", data_dir / "oracle_decay.json",
-                data_dir / "x0_decay.json", "--dt", 0, "--steps", 5])
-    assert code == 2
-    assert "--dt" in capsys.readouterr().err
+    for dt in (0, "nan", "inf"):
+        code = run(["simulate", data_dir / "net_decay.json", data_dir / "oracle_decay.json",
+                    data_dir / "x0_decay.json", "--dt", dt, "--steps", 5])
+        assert code == 2
+        assert "--dt" in capsys.readouterr().err
 
 
 def test_simulate_divergence_exit(data_dir, tmp_path):
@@ -279,12 +290,14 @@ MALFORMED_POINTS = [
     ("bad_state", {"points": [{"neighborhood": [dict(_entry(), state="hot")]}]},
      "bad neighborhood entry"),
     ("bad_x", {"points": [{"x": [1], "neighborhood": []}]}, "point 0"),
+    ("fractional_type", {"points": [{"neighborhood": [dict(_entry(), type=1.5)]}]},
+     "neighborhood entry: bad 'type' value 1.5"),
 ]
 
 
 @pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_POINTS],
                          ids=[m[0] for m in MALFORMED_POINTS])
-def test_decompose_malformed_points_is_usage_error(data_dir, tmp_path, doc, message):
+def test_decompose_malformed_points_is_usage_error(run_cli, data_dir, tmp_path, doc, message):
     points = tmp_path / "pts.json"
     points.write_text(json.dumps(doc))
     proc = run_cli("decompose", data_dir / "oracle_power2.json", "--points", points)
@@ -345,12 +358,15 @@ MALFORMED_NETWORKS = [
      "edges[0]: monoid additive_real expects a number"),
     ("unknown_monoid", _decay_net(monoids={"1,1": "additive_complex"}),
      "monoids['1,1']: unknown monoid id 'additive_complex'"),
+    ("type_fractional_id", _decay_net(types=[{"id": 1.5}]), "types[0]: bad 'id' value 1.5"),
+    ("cell_bool_type", _decay_net(cells=[{"id": "u", "type": True}]),
+     "cells[0]: bad 'type' value True"),
 ]
 
 
 @pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_NETWORKS],
                          ids=[m[0] for m in MALFORMED_NETWORKS])
-def test_simulate_malformed_network_is_usage_error(data_dir, tmp_path, doc, message):
+def test_simulate_malformed_network_is_usage_error(run_cli, data_dir, tmp_path, doc, message):
     net = tmp_path / "net.json"
     net.write_text(json.dumps(doc))
     proc = run_cli("simulate", net, data_dir / "oracle_decay.json", data_dir / "x0_decay.json",
@@ -395,12 +411,15 @@ MALFORMED_X0 = [
     ("null_state", {"u": None}, "cell 'u': bad state None"),
     ("text_state", {"u": "warm"}, "cell 'u': bad state 'warm'"),
     ("missing_cell", {"v": 1.0}, "x0 is missing cell 'u'"),
+    # written as Infinity; 1e999 parses to the same float
+    ("infinite_state", {"u": float("inf")}, "cell 'u': bad state inf"),
+    ("nan_state", {"u": float("nan")}, "cell 'u': bad state nan"),
 ]
 
 
 @pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_X0],
                          ids=[m[0] for m in MALFORMED_X0])
-def test_simulate_malformed_x0_is_usage_error(data_dir, tmp_path, doc, message):
+def test_simulate_malformed_x0_is_usage_error(run_cli, data_dir, tmp_path, doc, message):
     x0 = tmp_path / "x0.json"
     x0.write_text(json.dumps(doc))
     proc = run_cli("simulate", data_dir / "net_decay.json", data_dir / "oracle_decay.json", x0,
@@ -417,9 +436,9 @@ MALFORMED_ORACLES = [
     ("n_types_text", dict(_POWER2, n_types="q"), "oracle spec: bad 'n_types' value 'q'"),
     ("params_list", dict(_POWER2, params=[1]), "oracle spec: bad 'params' value [1]"),
     ("coeffs_list", dict(_POWER2, params={"coeffs": [1]}),
-     "oracle spec: bad params for family 'polynomial'"),
+     "oracle spec: bad params for family 'polynomial': params: bad 'coeffs' value [1]"),
     ("coeff_zero_denominator", dict(_POWER2, params={"coeffs": {"2": "1/0"}}),
-     "oracle spec: bad params for family 'polynomial'"),
+     "oracle spec: bad params for family 'polynomial': params: bad 'coeffs'"),
     ("missing_family", {"params": {}}, "oracle spec is missing 'family'"),
     ("second_spec_bad", [_POWER2, dict(_POWER2, type_index=[2])],
      "oracles[1]: bad 'type_index' value [2]"),
@@ -430,7 +449,7 @@ MALFORMED_ORACLES = [
 @pytest.mark.parametrize("command", ["verify", "decompose", "simulate"])
 @pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_ORACLES],
                          ids=[m[0] for m in MALFORMED_ORACLES])
-def test_malformed_oracle_spec_is_usage_error(data_dir, tmp_path, command, doc, message):
+def test_malformed_oracle_spec_is_usage_error(run_cli, data_dir, tmp_path, command, doc, message):
     oracle = tmp_path / "oracle.json"
     oracle.write_text(json.dumps(doc))
     args = {
@@ -443,3 +462,43 @@ def test_malformed_oracle_spec_is_usage_error(data_dir, tmp_path, command, doc, 
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{oracle}: {message}" in proc.stderr
+
+
+# Parsing is shared by the subcommands, so each value is run through verify only.
+MALFORMED_ORACLE_VALUES = [
+    ("type_index_fraction", dict(_POWER2, type_index=1.5),
+     "oracle spec: bad 'type_index' value 1.5"),
+    ("n_types_bool", dict(_POWER2, n_types=True), "oracle spec: bad 'n_types' value True"),
+    ("truncation_text", {"family": "exponential", "params": {"truncation": "x"}},
+     "oracle spec: bad params for family 'exponential': params: bad 'truncation' value 'x'"),
+    ("power_fraction", {"family": "symmetric_power", "params": {"n": 1.5, "k": 1}},
+     "oracle spec: bad params for family 'symmetric_power': params: bad 'n' value 1.5"),
+    ("inner_not_rows", {"family": "nested", "params": {"outer": [1], "inner": [1]}},
+     "oracle spec: bad params for family 'nested': params: bad 'inner' value [1]"),
+]
+
+
+@pytest.mark.parametrize("doc,message", [m[1:] for m in MALFORMED_ORACLE_VALUES],
+                         ids=[m[0] for m in MALFORMED_ORACLE_VALUES])
+def test_malformed_oracle_value_names_its_key(run_cli, data_dir, tmp_path, doc, message):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps(doc))
+    proc = run_cli("verify", data_dir / "net_single.json", oracle, "--trials", 5)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{oracle}: {message}" in proc.stderr
+
+
+def test_check_flags_belong_to_verify_only(run_cli, data_dir):
+    proc = run_cli("simulate", data_dir / "net_decay.json", data_dir / "oracle_decay.json",
+                   data_dir / "x0_decay.json", "--dt", 0.1, "--steps", 1, "--seed", 1)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 1" in proc.stderr
+    parser = build_parser()
+    for argv in (["decompose", "o.json", "--points", "p.json", "--trials", "3"],
+                 ["stirling", "--kind", "1", "--max", "3", "--tol", "7"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    args = parser.parse_args(["verify", "n.json", "o.json", "--seed", "1", "--trials", "3",
+                              "--tol", "0"])
+    assert (args.seed, args.trials, args.tol) == (1, 3, 0.0)

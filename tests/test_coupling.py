@@ -9,7 +9,6 @@ from ccndecomp.coupling import (
     SizeCapExceeded,
     coupling_components,
     coupling_eval_explicit,
-    coupling_eval_recursive,
     coupling_family_check,
     coupling_order,
     locally_maximal_orders,
@@ -32,6 +31,7 @@ from ccndecomp.oracle import (
     zero_f0,
 )
 from helpers import (
+    coupling_eval_recursive,
     finite_order_oracles,
     random_inputs,
     reference_closed_form_component,
@@ -148,8 +148,6 @@ def test_size_caps():
     big = tuple(NI(1, 1.0, 1.0) for _ in range(21))
     with pytest.raises(SizeCapExceeded):
         coupling_eval_explicit(p2, 0.0, big)
-    with pytest.raises(SizeCapExceeded):
-        coupling_eval_recursive(p2, 0.0, big[:13])
     with pytest.raises(SizeCapExceeded):
         recompose(p2, 0.0, big[:13])
 

@@ -62,8 +62,9 @@ def test_broken_monoid_reports_commutativity_witness():
         sample=sample_dyadic,
     )
     report = check_laws(broken, trials=1000, seed=0)
-    assert not report.commutative_ok
-    witness = report.counterexamples["commutative"]
+    assert not report.checks["commutative"]
+    witness = report.counterexamples[0]
+    assert witness["property"] == "commutative"
     assert witness["a"] - witness["b"] != witness["b"] - witness["a"]
 
 

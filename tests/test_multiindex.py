@@ -1,26 +1,20 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccndecomp.multiindex import (
-    Comparison,
     DimensionMismatch,
     apply_multiplicity,
     as_multiindex,
-    compare,
     compose_multiplicities,
     iter_multiindices,
     norm,
     ones,
-    unit,
     zero_pattern,
     zeros,
 )
-
-indices = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=5).map(tuple)
 
 
 def test_norm_examples():
@@ -35,46 +29,6 @@ def test_as_multiindex_rejects_bad_entries():
     with pytest.raises(ValueError):
         as_multiindex((1.5,))
     assert as_multiindex([2, 5, 2]) == (2, 5, 2)
-
-
-def test_compare_examples():
-    assert compare((1, 1), (2, 3)) is Comparison.LESS
-    assert compare((2, 0), (0, 2)) is Comparison.INCOMPARABLE
-    assert compare((3,), (3,)) is Comparison.EQUAL
-    assert compare((4, 1), (2, 1)) is Comparison.GREATER
-    with pytest.raises(DimensionMismatch):
-        compare((1,), (1, 2))
-
-
-@given(indices, indices.filter(lambda m: len(m) <= 5))
-@settings(max_examples=150)
-def test_partial_order_laws(a, b):
-    if len(a) != len(b):
-        return
-    assert compare(a, a) is Comparison.EQUAL
-    ab = compare(a, b)
-    ba = compare(b, a)
-    flips = {
-        Comparison.LESS: Comparison.GREATER,
-        Comparison.GREATER: Comparison.LESS,
-        Comparison.EQUAL: Comparison.EQUAL,
-        Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
-    }
-    assert ba is flips[ab]
-    if ab is Comparison.LESS and ba is Comparison.LESS:
-        raise AssertionError("antisymmetry violated")
-
-
-def test_order_transitive_on_sampled_triples():
-    rng = random.Random(0)
-    for _ in range(500):
-        k = rng.randint(1, 4)
-        a = tuple(rng.randint(0, 4) for _ in range(k))
-        b = tuple(a[i] + rng.randint(0, 2) for i in range(k))
-        c = tuple(b[i] + rng.randint(0, 2) for i in range(k))
-        assert compare(a, b) in (Comparison.LESS, Comparison.EQUAL)
-        assert compare(b, c) in (Comparison.LESS, Comparison.EQUAL)
-        assert compare(a, c) in (Comparison.LESS, Comparison.EQUAL)
 
 
 def test_apply_multiplicity_examples():
@@ -158,6 +112,3 @@ def test_pascal_prod_sum_identity():
 
 def test_zero_pattern_and_unit():
     assert zero_pattern((0, 3, 0)) == (True, False, True)
-    assert unit(3, 1) == (0, 1, 0)
-    with pytest.raises(IndexError):
-        unit(2, 5)

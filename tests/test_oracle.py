@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from helpers import (
     broken_merge_oracle,
     broken_permutation_oracle,
     broken_zero_oracle,
+    checker_golden_reports,
     random_inputs,
     shipped_oracles,
 )
@@ -191,6 +193,11 @@ def test_admissibility_check_is_deterministic():
     a = admissibility_check(oracle, monoids, trials=300, seed=7).to_jsonable()
     b = admissibility_check(oracle, monoids, trials=300, seed=7).to_jsonable()
     assert a == b
+
+
+def test_checker_reports_match_golden(data_dir):
+    text = json.dumps(checker_golden_reports(), sort_keys=True, indent=1) + "\n"
+    assert text == (data_dir / "golden" / "checker_reports.json").read_text(encoding="utf-8")
 
 
 def test_type_multiindex():
