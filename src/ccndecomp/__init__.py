@@ -6,7 +6,6 @@ from .basis import (
     MissingSupportBound,
     MultiplicityPoint,
     basis_family_check,
-    basis_family_from_json,
     basis_from_coupling,
     basis_from_coupling_multi,
     basis_from_oracle_direct,

@@ -12,8 +12,9 @@ bijection through Stirling-weighted multiplicity sums:
 - and basis components come straight from whole-function evaluations with
   the r-Stirling coefficient C(K, M, r), given any valid support bound K.
 
-All Stirling weights are exact rationals, converted to float only when they
-multiply a component evaluation.
+One exact weighted expansion sum carries the three Stirling transforms: its
+weights are exact rationals, the products with the float component
+evaluations are summed exactly, and the result is rounded once.
 """
 
 from __future__ import annotations
@@ -24,18 +25,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .coupling import EXPLICIT_SIZE_CAP, CouplingFamily, check_size_cap, subsets
+from .coupling import (
+    EXPLICIT_SIZE_CAP,
+    CouplingFamily,
+    check_size_cap,
+    exact_weighted_sum,
+    subsets,
+)
 from .monoid import WeightMonoid
-from .multiindex import MultiIndex, as_multiindex, iter_multiindices, norm
+from .multiindex import MultiIndex, as_multiindex, iter_multiindices, norm, ones, zeros
 from .oracle import (
     CellSpec,
     NeighborhoodCheck,
     NeighborInput,
     OracleComponent,
-    SpecFormatError,
     expand,
-    parse_f0,
-    spec_int,
     type_multiindex,
     within_tolerance,
     zero_f0,
@@ -65,7 +69,6 @@ class BasisFamily:
     n_types: int
     support_bound: MultiIndex
     component: Callable[[float, CellSpec], float]
-    coeffs: Mapping[MultiIndex, Fraction] | None = None
 
     @classmethod
     def polynomial(
@@ -118,7 +121,6 @@ class BasisFamily:
             n_types=width,
             support_bound=tuple(bound),
             component=component,
-            coeffs=dict(table),
         )
 
     @classmethod
@@ -152,8 +154,6 @@ class BasisFamily:
     def from_coupling(cls, family: CouplingFamily) -> "BasisFamily":
         """Generic basis family evaluated through the first-kind transform of
         a finite-order coupling family."""
-        if family.order_bound is None:
-            raise MissingSupportBound("finite support bound required")
 
         def component(x: float, inputs: CellSpec) -> float:
             return basis_from_coupling(family, x, inputs)
@@ -161,55 +161,9 @@ class BasisFamily:
         return cls(
             target_type=family.target_type,
             n_types=family.n_types,
-            support_bound=family.order_bound,
+            support_bound=_require_bound(family),
             component=component,
         )
-
-    def to_jsonable(self) -> dict:
-        if self.coeffs is None:
-            raise SpecFormatError("only monomial-coefficient basis families serialize to JSON")
-        return {
-            "type_index": self.target_type,
-            "support_bound": list(self.support_bound),
-            "components": [
-                {"k": list(k), "family": "monomial", "coeff": str(self.coeffs[k])}
-                for k in sorted(self.coeffs)
-            ],
-        }
-
-
-def basis_family_from_json(doc: dict) -> BasisFamily:
-    """Parse {"type_index", "support_bound", "components": [{"k", "family",
-    "coeff"}...]} into a monomial basis family."""
-    if not isinstance(doc, dict):
-        raise SpecFormatError("basis family spec must be a JSON object")
-    try:
-        entries = doc["components"]
-        coeffs = {}
-        for entry in entries:
-            if entry.get("family", "monomial") != "monomial":
-                raise SpecFormatError(f"unknown basis component family {entry.get('family')!r}")
-            coeffs[tuple(spec_int(e) for e in entry["k"])] = Fraction(str(entry["coeff"]))
-        declared = tuple(spec_int(e) for e in doc["support_bound"])
-        fam = BasisFamily.polynomial(
-            coeffs,
-            n_types=len(declared),
-            f0=parse_f0(str(doc.get("f0", "zero"))),
-            target_type=spec_int(doc.get("type_index", 1)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SpecFormatError):
-            raise
-        raise SpecFormatError(f"bad basis family spec: {exc}") from exc
-    if not all(a <= b for a, b in zip(fam.support_bound, declared)) or len(declared) != fam.n_types:
-        raise SpecFormatError("components exceed the declared support bound")
-    return BasisFamily(
-        target_type=fam.target_type,
-        n_types=fam.n_types,
-        support_bound=declared,
-        component=fam.component,
-        coeffs=fam.coeffs,
-    )
 
 
 def elementary_symmetric(values: Sequence[float], k: int) -> float:
@@ -242,20 +196,13 @@ class MultiplicityPoint:
 
 
 def _iter_expansions(
-    inputs: CellSpec,
-    n_types: int,
-    bound: MultiIndex,
-    lows: Sequence[int],
-    pin_zero_lows: bool = False,
+    types: Sequence[int], n_types: int, bound: MultiIndex, lows: Sequence[int]
 ) -> Iterator[MultiIndex]:
-    """Multiplicity vectors m with m_c >= lows[c] whose per-type expanded
-    counts stay within the entrywise bound.  With ``pin_zero_lows`` the
-    positions whose lower bound is 0 are frozen at 0 (used by the transforms
-    whose Stirling weight is a delta there)."""
+    """Multiplicity vectors m >= lows over inputs of the given types whose
+    per-type expanded counts stay within the entrywise bound."""
     groups: list[list[int]] = [[] for _ in range(n_types)]
-    for pos, e in enumerate(inputs):
-        if not (pin_zero_lows and lows[pos] == 0):
-            groups[e.type_index - 1].append(pos)
+    for pos, t in enumerate(types):
+        groups[t - 1].append(pos)
     options: list[list[MultiIndex]] = []
     for j, positions in enumerate(groups):
         lower = tuple(lows[p] for p in positions)
@@ -273,7 +220,65 @@ def _iter_expansions(
                 acc[pos] = val
             yield from rec(j + 1, acc)
 
-    yield from rec(0, [0] * len(inputs))
+    yield from rec(0, [0] * len(types))
+
+
+# Per-entry kernels: expanding entry c from m_c to M_c copies weighs kernel(m_c, M_c) / M_c!.
+# The first and second kinds vanish at m_c = 0 < M_c, which pins M_c at 0.
+def _first_kind(m: int, big_m: int) -> int:
+    return (-1) ** (big_m - m) * math.factorial(m) * stirling1(big_m, m)
+
+
+def _second_kind(m: int, big_m: int) -> int:
+    return math.factorial(m) * stirling2(big_m, m)
+
+
+def _reconstruction(m: int, big_m: int) -> int:
+    return 1
+
+
+@lru_cache(maxsize=None)
+def _expansion_table(
+    types: tuple[int, ...],
+    m: MultiIndex,
+    n_types: int,
+    bound: MultiIndex,
+    kernel: Callable[[int, int], int],
+) -> tuple[tuple[MultiIndex, ...], tuple[int, ...], int]:
+    """The expansions M >= m of inputs of the given types within the bound
+    whose weight prod_c kernel(m_c, M_c) / M_c! is nonzero, with those exact
+    weights as integer numerators over the common denominator
+    prod_c K_c!, where K_c bounds the type of entry c."""
+    tops = [bound[t - 1] for t in types]
+    # factors[c][M_c] = kernel(m_c, M_c) * K_c! / M_c!
+    factors = [[kernel(a, b) * math.perm(top, top - b) if b >= a else 0 for b in range(top + 1)]
+               for a, top in zip(m, tops)]
+    expansions, numerators = [], []
+    for big_m in _iter_expansions(types, n_types, bound, m):
+        numerator = math.prod(map(list.__getitem__, factors, big_m))
+        if numerator:
+            expansions.append(big_m)
+            numerators.append(numerator)
+    denominator = math.prod(map(math.factorial, tops))
+    return tuple(expansions), tuple(numerators), denominator
+
+
+def _expansion_sum(
+    kernel: Callable[[int, int], int],
+    component: Callable[[float, CellSpec], float],
+    n_types: int,
+    bound: MultiIndex,
+    point: MultiplicityPoint,
+) -> float:
+    """The one Stirling transform: the sum over expansions M >= m within the
+    bound of prod_c kernel(m_c, M_c) / M_c! times the component at the
+    M-expanded base neighborhood, exact and rounded once."""
+    inputs = point.inputs
+    types = tuple(e.type_index for e in inputs)
+    expansions, numerators, denominator = _expansion_table(
+        types, tuple(point.multiplicity), n_types, tuple(bound), kernel)
+    values = [component(point.x, expand(big_m, inputs)) for big_m in expansions]
+    return exact_weighted_sum(numerators, denominator, values)
 
 
 def _require_bound(family: CouplingFamily) -> MultiIndex:
@@ -286,34 +291,15 @@ def basis_from_coupling(family: CouplingFamily, x: float, inputs: Sequence[Neigh
     """First-kind transform: sum over duplication vectors m >= 1 of
     (-1)^(|m|-|s|) / prod(m_c) times the coupling component at the expanded
     neighborhood.  Truncated by the family's support bound."""
-    bound = _require_bound(family)
     inputs = tuple(inputs)
-    if not inputs:
-        return family.component(x, ())
-    size = len(inputs)
-    terms = []
-    for m in _iter_expansions(inputs, family.n_types, bound, [1] * size):
-        sign = -1.0 if (norm(m) - size) % 2 else 1.0
-        denom = 1
-        for e in m:
-            denom *= e
-        terms.append(sign / denom * family.component(x, expand(m, inputs)))
-    return math.fsum(terms)
+    return basis_from_coupling_multi(family, MultiplicityPoint(x, inputs, ones(len(inputs))))
 
 
 def coupling_from_basis(bf: BasisFamily, x: float, inputs: Sequence[NeighborInput]) -> float:
     """Second-kind direction: sum over duplication vectors m >= 1 of
     1/prod(m_c!) times the basis component at the expanded neighborhood."""
     inputs = tuple(inputs)
-    if not inputs:
-        return bf.component(x, ())
-    terms = []
-    for m in _iter_expansions(inputs, bf.n_types, bf.support_bound, [1] * len(inputs)):
-        denom = 1
-        for e in m:
-            denom *= math.factorial(e)
-        terms.append(bf.component(x, expand(m, inputs)) / denom)
-    return math.fsum(terms)
+    return coupling_from_basis_multi(bf, MultiplicityPoint(x, inputs, ones(len(inputs))))
 
 
 def coupling_from_basis_multi(bf: BasisFamily, point: MultiplicityPoint) -> float:
@@ -324,20 +310,7 @@ def coupling_from_basis_multi(bf: BasisFamily, point: MultiplicityPoint) -> floa
     Entries with m_c = 0 force M_c = 0 (S2(M, 0) is a delta), so the sum runs
     over duplications of the active entries only.
     """
-    inputs = point.inputs
-    m = point.multiplicity
-    terms = []
-    for big_m in _iter_expansions(
-        inputs, bf.n_types, bf.support_bound, list(m), pin_zero_lows=True
-    ):
-        weight = Fraction(1)
-        for mc, bc in zip(m, big_m):
-            if mc == 0:
-                continue
-            weight *= Fraction(math.factorial(mc), math.factorial(bc)) * stirling2(bc, mc)
-        if weight:
-            terms.append(float(weight) * bf.component(point.x, expand(big_m, inputs)))
-    return math.fsum(terms)
+    return _expansion_sum(_second_kind, bf.component, bf.n_types, bf.support_bound, point)
 
 
 def basis_from_coupling_multi(family: CouplingFamily, point: MultiplicityPoint) -> float:
@@ -345,33 +318,15 @@ def basis_from_coupling_multi(family: CouplingFamily, point: MultiplicityPoint) 
     weights: sum over M of (-1)^(|M|-|m|) prod_c [m_c!/M_c! * s1(M_c, m_c)]
     times the coupling component at the M-expanded base neighborhood."""
     bound = _require_bound(family)
-    inputs = point.inputs
-    m = point.multiplicity
-    terms = []
-    for big_m in _iter_expansions(inputs, family.n_types, bound, list(m), pin_zero_lows=True):
-        weight = Fraction(1)
-        for mc, bc in zip(m, big_m):
-            if mc == 0:
-                continue
-            weight *= Fraction(math.factorial(mc), math.factorial(bc)) * stirling1(bc, mc)
-        if not weight:
-            continue
-        sign = -1.0 if (norm(big_m) - norm(m)) % 2 else 1.0
-        terms.append(sign * float(weight) * family.component(point.x, expand(big_m, inputs)))
-    return math.fsum(terms)
+    return _expansion_sum(_first_kind, family.component, family.n_types, bound, point)
 
 
 def oracle_from_basis(bf: BasisFamily, x: float, inputs: Sequence[NeighborInput]) -> float:
     """Reconstruct the whole response: sum over duplication vectors m >= 0 of
     1/prod(m_c!) times the basis component at the expanded neighborhood."""
     inputs = tuple(inputs)
-    terms = []
-    for m in _iter_expansions(inputs, bf.n_types, bf.support_bound, [0] * len(inputs)):
-        denom = 1
-        for e in m:
-            denom *= math.factorial(e)
-        terms.append(bf.component(x, expand(m, inputs)) / denom)
-    return math.fsum(terms)
+    point = MultiplicityPoint(x, inputs, zeros(len(inputs)))
+    return _expansion_sum(_reconstruction, bf.component, bf.n_types, bf.support_bound, point)
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +377,8 @@ def basis_from_oracle_direct(
     terms = []
     for subset in subsets(inputs):
         r_counts = tuple(a - b for a, b in zip(k_s, type_multiindex(subset, oracle.n_types)))
-        for big_m in _iter_expansions(subset, oracle.n_types, big_k, [1] * len(subset)):
+        types = tuple(e.type_index for e in subset)
+        for big_m in _iter_expansions(types, oracle.n_types, big_k, ones(len(subset))):
             per_type_norm = [0] * oracle.n_types
             for e, entry in zip(big_m, subset):
                 per_type_norm[entry.type_index - 1] += e

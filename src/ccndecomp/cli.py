@@ -25,6 +25,7 @@ from .coupling import (
     locally_maximal_orders,
     subsets,
 )
+from .monoid import make_additive_real
 from .network import DivergenceError, Network, integrate_rk4, parse_network
 from .oracle import (
     CellSpec,
@@ -71,22 +72,35 @@ def _parse_x0(doc, path: str, cells: list[str]) -> dict[str, float]:
         if cell not in doc:
             raise SpecFormatError(f"{path}: x0 is missing cell {cell!r}")
         try:
-            state = float(doc[cell])
-        except (TypeError, ValueError, OverflowError):
-            state = math.nan  # refused below
-        if not math.isfinite(state):
-            raise SpecFormatError(
-                f"{path}: cell {cell!r}: bad state {doc[cell]!r}, expected a finite number")
-        x0[cell] = state
+            x0[cell] = _finite(doc[cell], "state")
+        except ValueError as exc:
+            raise SpecFormatError(f"{path}: cell {cell!r}: {exc}") from None
     return x0
 
 
+def _finite(raw, what: str) -> float:
+    """``raw`` as a finite float; anything else raises ValueError naming
+    ``what``."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad {what} {raw!r}, expected a finite number")
+    return value
+
+
 def _write(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # No Infinity or NaN in a report: they are not JSON (ValueError, exit 2).
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+# Point weights are read as the shipped components use them: finite reals.
+_parse_weight = make_additive_real().parse
 
 
 def _parse_inputs(raw) -> tuple[NeighborInput, ...]:
@@ -95,11 +109,10 @@ def _parse_inputs(raw) -> tuple[NeighborInput, ...]:
     out = []
     for entry in raw:
         try:
-            w = entry["weight"]
-            if isinstance(w, list):
-                w = tuple(w)
+            state = _finite(entry["state"], "'state'")
             t = spec_field(entry, "neighborhood entry", "type", spec_int)
-            out.append(NeighborInput(t, w, float(entry["state"])))
+            w = spec_field(entry, "neighborhood entry", "weight", _parse_weight)
+            out.append(NeighborInput(t, w, state))
         except SpecFormatError:
             raise
         except KeyError as missing:
@@ -121,7 +134,8 @@ def _parse_points(doc, path: str) -> list[tuple[float, CellSpec]]:
         try:
             if not isinstance(p, dict):
                 raise SpecFormatError(f"point must be an object, got {p!r}")
-            points.append((float(p.get("x", 0.0)), _parse_inputs(p.get("neighborhood", []))))
+            x = _finite(p.get("x", 0.0), "'x'")
+            points.append((x, _parse_inputs(p.get("neighborhood", []))))
         except (TypeError, ValueError) as exc:
             raise SpecFormatError(f"{path}: point {i}: {exc}") from None
     return points
@@ -224,21 +238,33 @@ def _decompose_point(oracle, x, inputs, to, bound):
     }
 
 
+def _parse_bound(text: str, oracle: OracleComponent) -> tuple[int, ...]:
+    """The ``--bound`` entries, one per type.  The direct basis formula holds
+    for any bound at or above the true orders, so a bound below the
+    component's declared order on any axis is refused, not trusted."""
+    try:
+        bound = tuple(spec_int(p) for p in text.split(","))
+    except ValueError:
+        bound = ()
+    if len(bound) != oracle.n_types or any(b < 0 for b in bound):
+        raise SpecFormatError(f"--bound {text!r}: expected {oracle.n_types} comma-separated "
+                              "non-negative integers, one per type")
+    for j, (b, order) in enumerate(zip(bound, oracle.order_bound or ())):
+        if b < order:
+            raise SpecFormatError(f"--bound {text!r}: axis {j + 1} is {b}, below the "
+                                  f"component's declared order {order}")
+    return bound
+
+
 def cmd_decompose(args) -> int:
     specs = _load_spec(args.oracle, oracle_specs_from_json)
     if len(specs) != 1:
         raise SpecFormatError("decompose expects exactly one oracle spec")
     oracle = specs[0].build()
 
-    bound = None
-    if args.bound:
-        bound = tuple(int(p) for p in args.bound.split(","))
-    elif oracle.order_bound is not None:
-        bound = oracle.order_bound
+    bound = _parse_bound(args.bound, oracle) if args.bound else oracle.order_bound
     if args.to == "basis" and bound is None:
-        print("error: finite support bound required (--bound) for basis decomposition",
-              file=sys.stderr)
-        return 2
+        raise SpecFormatError("finite support bound required (--bound) for basis decomposition")
 
     parsed = _parse_points(_load_json(args.points), args.points)
     # Refuse every point that cannot be decomposed before any evaluation.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -92,6 +93,27 @@ def coupling_eval_explicit(
     return math.fsum(terms)
 
 
+def dyadic_grid(values: Sequence[float]) -> tuple[list[int], int]:
+    """Finite floats as integers on one dyadic grid: ``values[i]`` equals
+    ``ints[i] / 2**shift`` exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max((den for _, den in ratios), default=1).bit_length() - 1
+    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
+
+
+def exact_weighted_sum(numerators: Sequence[int], denominator: int,
+                       values: Sequence[float]) -> float:
+    """The sum of ``numerators[i] / denominator * values[i]``, computed
+    exactly in integers on the values' dyadic grid and rounded once (an
+    exact zero is +0.0).  A sum beyond the float range raises OverflowError.
+    A non-finite value keeps float semantics: the result, or the error, is
+    that of fsum over the rounded products."""
+    if not all(map(math.isfinite, values)):
+        return math.fsum(n / denominator * v for n, v in zip(numerators, values))
+    grid, shift = dyadic_grid(values)
+    return sum(map(operator.mul, numerators, grid)) / (denominator << shift)
+
+
 # Finite values this large could overflow an intermediate partial of fsum,
 # which the exact transform would not reproduce; they take the reference path.
 _EXACT_MAGNITUDE_LIMIT = 2.0 ** 960
@@ -121,9 +143,7 @@ def coupling_components(
     values = [float(oracle.evaluate(x, subset)) for subset in subsets(inputs)]
     if not all(abs(v) < _EXACT_MAGNITUDE_LIMIT for v in values):  # also catches inf, nan
         return [coupling_eval_explicit(oracle, x, subset, max_size) for subset in subsets(inputs)]
-    ratios = [v.as_integer_ratio() for v in values]
-    shift = max(den for _, den in ratios).bit_length() - 1
-    grid = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    grid, shift = dyadic_grid(values)
     size = len(grid)
     bit = 1
     while bit < size:

@@ -9,6 +9,7 @@ comparisons.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -54,7 +55,9 @@ def _parse_number(name: str, minimum: float | None = None) -> Callable[[Any], fl
         try:
             w = float(raw)
         except OverflowError:
-            raise ValueError(f"monoid {name} weight {raw!r} is out of float range") from None
+            w = math.inf
+        if not math.isfinite(w):
+            raise ValueError(f"monoid {name} expects a finite number, got {raw!r}")
         if minimum is not None and not w >= minimum:
             raise ValueError(f"monoid {name} expects a number >= {minimum}, got {raw!r}")
         return w

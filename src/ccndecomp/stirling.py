@@ -2,10 +2,10 @@
 coefficient that turns whole-function evaluations into basis components.
 
 Every function here works in exact integer / rational arithmetic; nothing in
-this module touches floating point.  The recurrence tables are the fast path,
-the ``*_sum`` functions re-derive the same numbers by enumerating bounded
-multi-index sets and exist as independent cross-check paths (they also appear
-as inner sums of the basis transforms).
+this module touches floating point.  The recurrence tables, built row by row,
+are the fast path, the ``*_sum`` functions re-derive the same numbers by
+enumerating bounded multi-index sets and exist as independent cross-check
+paths (they also appear as inner sums of the basis transforms).
 """
 
 from __future__ import annotations
@@ -24,26 +24,34 @@ def _check_nonneg(**values: int) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
 
+def _row(first_kind: bool, r: int, n: int, width: int) -> list[int]:
+    """Row n, cut to columns 0..width, of the triangle whose row r is the
+    unit vector at column r (rows above it are zero) and whose later rows
+    follow T(i, j) = c * T(i-1, j) + T(i-1, j-1), with c = i - 1 for the
+    first kind and c = j for the second.  The rows are built one after
+    another in one list: no depth limit, O(n * width) big-integer steps."""
+    row = [0] * (int(width) + 1)
+    if r <= min(n, width):
+        row[r] = 1
+    for i in range(r + 1, int(n) + 1):
+        for j in range(len(row) - 1, 0, -1):
+            row[j] = (i - 1 if first_kind else j) * row[j] + row[j - 1]
+        row[0] *= i - 1 if first_kind else 0
+    return row
+
+
 @lru_cache(maxsize=None)
 def stirling1(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (cycle counts)."""
     _check_nonneg(n=n, k=k)
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return (n - 1) * stirling1(n - 1, k) + stirling1(n - 1, k - 1)
+    return _row(True, 0, n, k)[-1]
 
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind (set-partition counts)."""
     _check_nonneg(n=n, k=k)
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _row(False, 0, n, k)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -54,13 +62,7 @@ def r_stirling1(r: int, n: int, k: int) -> int:
     the value is the Kronecker delta d(r, k); zero below that row.
     """
     _check_nonneg(r=r, n=n, k=k)
-    if n < r:
-        return 0
-    if n == r:
-        return 1 if k == r else 0
-    if k == 0 or k > n:
-        return 0
-    return (n - 1) * r_stirling1(r, n - 1, k) + r_stirling1(r, n - 1, k - 1)
+    return _row(True, int(r), n, k)[-1]
 
 
 def binomial(n: int, k: int) -> int:
@@ -161,16 +163,9 @@ def table(kind: str, max_n: int, r: int = 0) -> list[list[int]]:
     kind with the given r).
     """
     _check_nonneg(max_n=max_n, r=r)
-    if kind == "1":
-        fn = stirling1
-    elif kind == "2":
-        fn = stirling2
-    elif kind == "r1":
-        def fn(n: int, k: int) -> int:
-            return r_stirling1(r, n, k)
-    else:
+    if kind not in ("1", "2", "r1"):
         raise ValueError(f"unknown table kind {kind!r} (expected '1', '2' or 'r1')")
-    return [[fn(n, k) for k in range(n + 1)] for n in range(max_n + 1)]
+    return [_row(kind != "2", r if kind == "r1" else 0, n, n) for n in range(max_n + 1)]
 
 
 def identity_report(max_n: int = 12) -> dict[str, bool]:

@@ -3,10 +3,11 @@ components, random samplers, and brute-force combinatorial oracles."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from ccndecomp import (
@@ -22,7 +23,7 @@ from ccndecomp import (
 )
 from ccndecomp.coupling import check_size_cap, subsets
 from ccndecomp.multiindex import iter_multiindices, ones
-from ccndecomp.oracle import BlackBoxOracle, NeighborInput, OracleComponent, zero_f0
+from ccndecomp.oracle import BlackBoxOracle, NeighborInput, OracleComponent, expand, zero_f0
 
 
 def shipped_oracles():
@@ -293,6 +294,43 @@ def count_set_partitions(n: int, k: int) -> int:
         return total
 
     return rec(0, [])
+
+
+# --- exact reference for the Stirling transforms ---------------------------
+
+@functools.lru_cache(maxsize=None)
+def reference_entry_weight(kind: str, m: int, big_m: int) -> Fraction:
+    """Weight of one entry expanded from m to M copies, from the brute-force
+    counts: (-1)^(M-m) m!/M! s1(M, m), m!/M! S2(M, m) or 1/M!."""
+    if kind == "first":
+        count = (-1) ** (big_m - m) * count_permutations_with_cycles(big_m, m)
+    elif kind == "second":
+        count = count_set_partitions(big_m, m)
+    else:
+        return Fraction(1, math.factorial(big_m))
+    return Fraction(math.factorial(m) * count, math.factorial(big_m))
+
+
+def reference_expansion_sum(kind: str, component, bound, x, inputs, m) -> float:
+    """A Stirling transform in exact rationals over the same float component
+    evaluations, rounded once: the sum over every M >= m whose per-type
+    counts stay within ``bound`` of the product of the entry weights of
+    ``kind`` ("first", "second" or "whole") times ``component`` at the
+    M-expanded inputs."""
+    inputs = tuple(inputs)
+    total = Fraction(0)
+    ranges = [range(mc, bound[e.type_index - 1] + 1) for mc, e in zip(m, inputs)]
+    for big_m in product(*ranges):
+        counts = [0] * len(bound)
+        for e, bc in zip(inputs, big_m):
+            counts[e.type_index - 1] += bc
+        if any(c > b for c, b in zip(counts, bound)):
+            continue
+        weight = math.prod((reference_entry_weight(kind, mc, bc) for mc, bc in zip(m, big_m)),
+                           start=Fraction(1))
+        if weight:
+            total += weight * Fraction(component(x, expand(big_m, inputs)))
+    return float(total)
 
 
 # --- checker-report golden --------------------------------------------------

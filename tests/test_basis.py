@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,11 @@ from ccndecomp.basis import (
     BoundDisagreement,
     MissingSupportBound,
     MultiplicityPoint,
+    _expansion_table,
+    _first_kind,
+    _reconstruction,
+    _second_kind,
     basis_family_check,
-    basis_family_from_json,
     basis_from_coupling,
     basis_from_coupling_multi,
     basis_from_oracle_direct,
@@ -20,8 +24,8 @@ from ccndecomp.basis import (
     oracle_from_basis,
     truncation_sequence,
 )
-from ccndecomp.coupling import CouplingFamily, SizeCapExceeded
-from ccndecomp.monoid import make_additive_real
+from ccndecomp.coupling import CouplingFamily, SizeCapExceeded, exact_weighted_sum
+from ccndecomp.monoid import make_additive_real, sample_dyadic
 from ccndecomp.oracle import (
     NeighborInput,
     build_exponential,
@@ -29,8 +33,14 @@ from ccndecomp.oracle import (
     build_polynomial_single,
     build_symmetric_power,
     expand,
+    type_multiindex,
 )
-from helpers import random_inputs_within, random_polynomial_coeffs
+from helpers import (
+    random_inputs_within,
+    random_polynomial_coeffs,
+    reference_entry_weight,
+    reference_expansion_sum,
+)
 
 NI = NeighborInput
 
@@ -366,29 +376,136 @@ def test_elementary_symmetric():
     assert elementary_symmetric([1.0], 2) == 0.0
 
 
-def test_basis_family_json_round_trip():
-    bf = BasisFamily.polynomial({(2, 1): Fraction(1, 3), (0, 2): 2}, n_types=2)
-    doc = bf.to_jsonable()
-    again = basis_family_from_json(doc)
-    assert again.support_bound == bf.support_bound
-    assert again.coeffs == bf.coeffs
-    assert again.to_jsonable() == doc
-    rng = random.Random(30)
-    for _ in range(20):
-        inputs = random_inputs_within(rng, (2, 2), lo=-1.0, hi=1.0)
-        x = rng.uniform(-1, 1)
-        assert again.component(x, inputs) == bf.component(x, inputs)
+def dyadic_point(rng, n_types, per_type):
+    """Random dyadic neighborhood with up to ``per_type[j]`` inputs of type
+    j + 1, shuffled across types."""
+    inputs = [NI(j + 1, sample_dyadic(rng, -1.0, 1.0), sample_dyadic(rng, -1.0, 1.0))
+              for j in range(n_types) for _ in range(rng.randint(0, per_type[j]))]
+    rng.shuffle(inputs)
+    return sample_dyadic(rng, -1.0, 1.0), tuple(inputs)
 
 
-def test_basis_family_json_errors():
-    from ccndecomp.oracle import SpecFormatError
+TRANSFORM_CASES = [
+    ("one_type", {(1,): Fraction(1, 2), (2,): Fraction(-1, 3), (4,): Fraction(1, 7)}, 1),
+    ("two_types", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 8), (3, 1): Fraction(-1, 3),
+                   (0, 2): Fraction(5, 7), (2, 3): Fraction(1, 16)}, 2),
+]
 
-    with pytest.raises(SpecFormatError):
-        basis_family_from_json({"support_bound": [1], "components": [{"k": [2], "coeff": "1"}]})
-    with pytest.raises(SpecFormatError):
-        basis_family_from_json({"components": []})
-    for bad in ({"support_bound": ["x"], "components": []},
-                {"support_bound": [2], "components": [{"k": [1.5], "coeff": "1"}]},
-                {"support_bound": [2], "type_index": True, "components": []}):
-        with pytest.raises(SpecFormatError):
-            basis_family_from_json(bad)
+
+@pytest.mark.parametrize("coeffs,n_types", [c[1:] for c in TRANSFORM_CASES],
+                         ids=[c[0] for c in TRANSFORM_CASES])
+def test_transforms_bit_equal_to_fraction_reference(coeffs, n_types):
+    oracle = build_polynomial_multi(coeffs, n_types=n_types, f0=lambda x: 0.75 - x)
+    fam = CouplingFamily.from_polynomial(oracle)
+    bf = BasisFamily.polynomial(coeffs, n_types=n_types, f0=oracle.f0)
+    bound = bf.support_bound
+    rng = random.Random(n_types)
+    for n in range(5):
+        for _ in range(6):
+            types = [rng.randint(1, n_types) for _ in range(n)]
+            inputs = tuple(NI(t, rng.uniform(-1, 1), rng.uniform(-1, 1)) for t in types)
+            x = rng.uniform(-1, 1)
+            m = tuple(rng.randint(0, 2) for _ in inputs)  # zeros included
+            point = MultiplicityPoint(x, inputs, m)
+            cases = [
+                (basis_from_coupling_multi(fam, point), "first", fam.component, m),
+                (coupling_from_basis_multi(bf, point), "second", bf.component, m),
+                (basis_from_coupling(fam, x, inputs), "first", fam.component, (1,) * n),
+                (coupling_from_basis(bf, x, inputs), "second", bf.component, (1,) * n),
+                (oracle_from_basis(bf, x, inputs), "whole", bf.component, (0,) * n),
+            ]
+            for got, kind, component, lows in cases:
+                want = reference_expansion_sum(kind, component, bound, x, inputs, lows)
+                assert got.hex() == want.hex(), (kind, inputs, lows, got, want)
+
+
+def test_unit_multiplicity_forms_are_the_plain_transforms():
+    rng = random.Random(40)
+    for _ in range(300):
+        coeffs = random_polynomial_coeffs(rng, bound=(3, 3))
+        fam = CouplingFamily.from_polynomial(build_polynomial_multi(coeffs, n_types=2))
+        bf = BasisFamily.polynomial(coeffs, n_types=2)
+        x, inputs = dyadic_point(rng, 2, bf.support_bound)
+        point = MultiplicityPoint(x, inputs, (1,) * len(inputs))
+        assert coupling_from_basis(bf, x, inputs) == coupling_from_basis_multi(bf, point)
+        assert basis_from_coupling(fam, x, inputs) == basis_from_coupling_multi(fam, point)
+
+
+def test_cached_expansion_table_matches_fresh_enumeration():
+    kernels = {"first": _first_kind, "second": _second_kind, "whole": _reconstruction}
+    for types, m, n_types, bound in [((), (), 1, (3,)), ((1, 1), (1, 2), 1, (4,)),
+                                     ((2, 1, 2), (0, 1, 2), 2, (2, 3)),
+                                     ((1, 2, 1), (0, 0, 0), 2, (2, 2))]:
+        for kind, kernel in kernels.items():
+            if kind == "whole":
+                m = (0,) * len(types)
+            key = (types, m, n_types, bound, kernel)
+            cached = _expansion_table(*key)
+            assert _expansion_table(*key) is cached
+            assert _expansion_table.__wrapped__(*key) == cached
+            expansions, numerators, denominator = cached
+            inputs = tuple(NI(t, 1.0, 1.0) for t in types)
+            fresh = {}
+            for big_m in product(*(range(a, bound[t - 1] + 1) for a, t in zip(m, types))):
+                weight = math.prod((reference_entry_weight(kind, a, b) for a, b in zip(m, big_m)),
+                                   start=Fraction(1))
+                counts = type_multiindex(expand(big_m, inputs), n_types)
+                if weight and all(c <= b for c, b in zip(counts, bound)):
+                    fresh[big_m] = weight
+            assert sorted(expansions) == sorted(fresh)
+            assert len(set(expansions)) == len(expansions)
+            for big_m, numerator in zip(expansions, numerators):
+                assert Fraction(numerator, denominator) == fresh[big_m]
+
+
+NON_FINITE_VALUES = [
+    [1.0, math.inf, 2.5],
+    [-math.inf, 0.5],
+    [math.inf, -math.inf],
+    [math.nan, 1.0],
+    [math.inf, math.nan],
+]
+
+
+@pytest.mark.parametrize("values", NON_FINITE_VALUES)
+def test_exact_weighted_sum_non_finite_follows_fsum(values):
+    numerators, denominator = [3, -2, 5][: len(values)], 7
+
+    def outcome(fn):
+        try:
+            return fn().hex()
+        except ValueError as exc:
+            return type(exc)
+
+    want = outcome(lambda: math.fsum(n / denominator * v for n, v in zip(numerators, values)))
+    assert outcome(lambda: exact_weighted_sum(numerators, denominator, values)) == want
+
+
+def test_exact_weighted_sum_rounds_once():
+    rng = random.Random(41)
+    for _ in range(200):
+        size = rng.randint(0, 6)
+        values = [rng.choice((rng.uniform(-1, 1) * 2.0 ** rng.randint(-1070, 60), 0.0, -0.0))
+                  for _ in range(size)]
+        numerators = [rng.randint(-50, 50) for _ in values]
+        denominator = rng.randint(1, 720)
+        want = float(sum((Fraction(n, denominator) * Fraction(v)
+                          for n, v in zip(numerators, values)), Fraction(0)))
+        assert exact_weighted_sum(numerators, denominator, values).hex() == want.hex()
+    # an exact zero is +0.0
+    assert exact_weighted_sum([1, 1], 3, [-0.0, -0.0]).hex() == "0x0.0p+0"
+    assert exact_weighted_sum([1, -1], 1, [0.1, 0.1]).hex() == "0x0.0p+0"
+    # cancelling huge terms stay exact; a sum past the float range raises
+    assert exact_weighted_sum([3, -3, 1], 2, [1e308, 1e308, 0.5]) == 0.25
+    with pytest.raises(OverflowError):
+        exact_weighted_sum([3], 1, [1e308])
+
+
+def test_transform_with_infinite_evaluation_keeps_float_semantics():
+    def component(x, inputs):
+        return math.inf if len(inputs) == 3 else 1.0
+
+    bf = BasisFamily(1, 1, (3,), component)
+    inputs = (NI(1, 1.0, 1.0),)
+    assert oracle_from_basis(bf, 0.0, inputs) == math.inf
+    assert coupling_from_basis(bf, 0.0, inputs) == math.inf

@@ -292,6 +292,20 @@ MALFORMED_POINTS = [
     ("bad_x", {"points": [{"x": [1], "neighborhood": []}]}, "point 0"),
     ("fractional_type", {"points": [{"neighborhood": [dict(_entry(), type=1.5)]}]},
      "neighborhood entry: bad 'type' value 1.5"),
+    ("weight_list", {"points": [{"neighborhood": [dict(_entry(), weight=[1, 2])]}]},
+     "neighborhood entry: bad 'weight' value [1, 2]"),
+    ("weight_string", {"points": [{"neighborhood": [dict(_entry(), weight="a")]}]},
+     "neighborhood entry: bad 'weight' value 'a'"),
+    ("weight_null", {"points": [{"neighborhood": [dict(_entry(), weight=None)]}]},
+     "neighborhood entry: bad 'weight' value None"),
+    ("weight_bool", {"points": [{"neighborhood": [dict(_entry(), weight=True)]}]},
+     "neighborhood entry: bad 'weight' value True"),
+    ("weight_infinity", {"points": [{"neighborhood": [dict(_entry(), weight=float("inf"))]}]},
+     "neighborhood entry: bad 'weight' value inf"),
+    ("x_infinity", {"points": [{"x": float("-inf"), "neighborhood": []}]},
+     "point 0: bad 'x' -inf, expected a finite number"),
+    ("state_nan", {"points": [{"neighborhood": [dict(_entry(), state=float("nan"))]}]},
+     "bad 'state' nan, expected a finite number"),
 ]
 
 
@@ -305,6 +319,60 @@ def test_decompose_malformed_points_is_usage_error(run_cli, data_dir, tmp_path, 
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert str(points) in proc.stderr
+
+
+CUBIC = {"family": "polynomial", "params": {"coeffs": {"1": "1", "3": "1"}}}
+BAD_BOUNDS = [
+    ("below_order", "1", "--bound '1': axis 1 is 1, below the component's declared order 3"),
+    ("one_below_order", "2", "--bound '2': axis 1 is 2, below the component's declared order 3"),
+    ("fractional", "1.5", "--bound '1.5': expected 1 comma-separated non-negative integers"),
+    ("negative", "-3", "--bound '-3': expected 1 comma-separated non-negative integers"),
+    ("too_many_axes", "3,3", "--bound '3,3': expected 1 comma-separated"),
+]
+
+
+def _cubic_files(tmp_path, entry):
+    oracle, points = tmp_path / "cubic.json", tmp_path / "pts.json"
+    oracle.write_text(json.dumps(CUBIC))
+    points.write_text(json.dumps({"points": [{"x": 0.0, "neighborhood": [entry]}]}))
+    return oracle, points
+
+
+@pytest.mark.parametrize("bound,message", [b[1:] for b in BAD_BOUNDS],
+                         ids=[b[0] for b in BAD_BOUNDS])
+def test_decompose_bound_is_checked(tmp_path, capsys, bound, message):
+    oracle, points = _cubic_files(tmp_path, _entry())
+    assert run(["decompose", oracle, "--points", points, "--to", "basis", "--bound", bound]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize("bound", ["1", "1.5"])
+def test_decompose_bad_bound_exits_2_without_traceback(run_cli, tmp_path, bound):
+    oracle, points = _cubic_files(tmp_path, _entry())
+    proc = run_cli("decompose", oracle, "--points", points, "--to", "basis", "--bound", bound)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"--bound {bound!r}" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("bound", [None, "3", "4"])
+def test_decompose_valid_bound_gives_the_basis_value(tmp_path, bound):
+    oracle, points = _cubic_files(tmp_path, _entry())
+    out = tmp_path / "out.json"
+    extra = [] if bound is None else ["--bound", bound]
+    assert run(["decompose", oracle, "--points", points, "--to", "basis", *extra,
+                "--out", out]) == 0
+    # w * state = 2; only the linear term has a first-order basis component
+    assert load(out)["points"][0]["components"] == [{"k": [1], "values": [2.0]}]
+
+
+def test_report_with_non_finite_value_is_refused(tmp_path, capsys):
+    oracle, points = _cubic_files(tmp_path, dict(_entry(), weight=1e200, state=1e200))
+    assert run(["decompose", oracle, "--points", points]) == 2
+    out, err = capsys.readouterr()
+    assert "Out of range float values are not JSON compliant" in err and out == ""
 
 
 GOLDEN_SIMULATE = [
@@ -361,6 +429,8 @@ MALFORMED_NETWORKS = [
     ("type_fractional_id", _decay_net(types=[{"id": 1.5}]), "types[0]: bad 'id' value 1.5"),
     ("cell_bool_type", _decay_net(cells=[{"id": "u", "type": True}]),
      "cells[0]: bad 'type' value True"),
+    ("edge_infinite_weight", _decay_net(edges=[{"to": "u", "from": "u", "weight": float("inf")}]),
+     "edges[0]: monoid additive_real expects a finite number, got inf"),
 ]
 
 

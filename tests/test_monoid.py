@@ -85,3 +85,13 @@ def test_monoid_by_name():
 def test_check_laws_requires_trials():
     with pytest.raises(ValueError):
         check_laws(make_additive_real(), trials=0, seed=0)
+
+
+@pytest.mark.parametrize("make", [make_additive_real, make_additive_positive],
+                         ids=lambda f: f.__name__)
+def test_numeric_weights_must_be_finite(make):
+    parse = make().parse
+    assert parse(2) == 2.0 and parse(0.5) == 0.5
+    for raw in (float("inf"), float("-inf"), float("nan"), 10 ** 400, True, None, "1", [1]):
+        with pytest.raises(ValueError):
+            parse(raw)

@@ -263,3 +263,16 @@ def test_table_at_cap_and_concurrent_reads():
         values = list(pool.map(lambda k: stirling2(40, k), range(41)))
     assert values == [stirling2(40, k) for k in range(41)]
     assert sum(values) > 0
+
+
+def test_large_arguments_have_no_depth_limit():
+    # the tables are built row by row, so a large n is no RecursionError
+    assert stirling1(3000, 1) == math.factorial(2999)
+    assert stirling2(3000, 2) == 2 ** 2999 - 1
+    # C(K, 1, 1) = sum_{j < K} H_j = K * H_{K-1} - (K - 1)
+    for big_k in range(1, 9):
+        harmonic = sum((Fraction(1, j) for j in range(1, big_k)), Fraction(0))
+        assert coefficient_c_sum(big_k, 1, 1) == big_k * harmonic - (big_k - 1)
+    harmonic = sum((Fraction(1, j) for j in range(1, 2000)), Fraction(0))
+    value = coefficient_c(2000, 1, 1)
+    assert isinstance(value, Fraction) and value == 2000 * harmonic - 1999
