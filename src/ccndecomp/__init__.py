@@ -31,14 +31,12 @@ from .monoid import (
     make_additive_positive,
     make_additive_real,
     make_bool_or,
-    make_free_parallel,
     monoid_by_name,
 )
 from .multiindex import (
     DimensionMismatch,
     MultiIndex,
     apply_multiplicity,
-    compose_multiplicities,
     iter_multiindices,
     norm,
 )
@@ -47,7 +45,6 @@ from .network import (
     Network,
     evaluate_vector_field,
     integrate_rk4,
-    network_to_json,
     parse_network,
 )
 from .oracle import (

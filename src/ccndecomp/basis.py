@@ -425,7 +425,7 @@ def basis_family_check(
         head, tail = inputs[0], inputs[1:]
         monoid = monoids[head.type_index - 1]
         w1, w2 = monoid.sample(rng), monoid.sample(rng)
-        lhs = component(x, (head._replace(weight=monoid.combine(w1, w2)),) + tail)
+        lhs = component(x, (head._replace(weight=monoid.combine((w1, w2))),) + tail)
         rhs = (component(x, (head._replace(weight=w1),) + tail)
                + component(x, (head._replace(weight=w2),) + tail))
         if not within_tolerance(lhs, rhs, tol):

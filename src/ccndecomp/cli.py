@@ -26,7 +26,7 @@ from .coupling import (
     subsets,
 )
 from .monoid import make_additive_real
-from .network import DivergenceError, Network, integrate_rk4, parse_network
+from .network import DivergenceError, integrate_rk4, parse_network
 from .oracle import (
     CellSpec,
     NeighborInput,
@@ -160,18 +160,6 @@ class _PointMemo(OracleComponent):
         return value
 
 
-def _require_numeric_weights(net: Network, pairs) -> None:
-    """Refuse type pairs whose monoid weights are not numbers: every shipped
-    component multiplies weight by state."""
-    for pair in sorted(pairs):
-        monoid = net.registry[pair]
-        if not isinstance(monoid.zero, (int, float)):
-            raise SpecFormatError(
-                f"type pair {pair} uses monoid {monoid.name}, whose weights are not numbers; "
-                "the shipped components need numeric weights"
-            )
-
-
 def cmd_verify(args) -> int:
     net = _load_spec(args.network, parse_network)
     specs = _load_spec(args.oracle, oracle_specs_from_json)
@@ -184,7 +172,6 @@ def cmd_verify(args) -> int:
             monoids = [net.monoid_for(spec.type_index, j + 1) for j in range(oracle.n_types)]
         except SpecFormatError as exc:
             raise SpecFormatError(f"oracle for type {spec.type_index}: {exc}") from exc
-        _require_numeric_weights(net, [(spec.type_index, j + 1) for j in range(oracle.n_types)])
         adm = admissibility_check(oracle, monoids, trials=args.trials, seed=args.seed, tol=args.tol)
         if isinstance(oracle, PolynomialOracle):
             fam = CouplingFamily.from_polynomial(oracle)
@@ -317,10 +304,6 @@ def cmd_simulate(args) -> int:
         print(f"error: --dt must be positive and finite, got {args.dt}", file=sys.stderr)
         return 2
     net = _load_spec(args.network, parse_network)
-    types = [net.type_of[cell] for cell in net.cells]
-    _require_numeric_weights(
-        net, {(types[c], types[d]) for c, row in enumerate(net.in_edges) for d, _ in row}
-    )
     specs = _load_spec(args.oracle, oracle_specs_from_json)
     oracles = {spec.type_index: spec.build() for spec in specs}
     x0 = _parse_x0(_load_json(args.x0), args.x0, net.cells)

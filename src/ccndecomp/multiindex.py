@@ -61,23 +61,6 @@ def apply_multiplicity(m: Sequence[int], v: Sequence[T]) -> list[T]:
     return out
 
 
-def compose_multiplicities(mbar: Sequence[int], m: Sequence[int]) -> MultiIndex:
-    """Single multiplicity equivalent to applying ``m`` first and ``mbar`` after.
-
-    ``mbar`` must have |m| entries; entry i of the result is the sum of the
-    i-th block of ``mbar``, with blocks sized by the entries of ``m``.
-    Satisfies apply(compose(mbar, m), v) == apply(mbar, apply(m, v)).
-    """
-    if len(mbar) != norm(m):
-        raise DimensionMismatch(f"composition needs {norm(m)} entries in the outer multiplicity, got {len(mbar)}")
-    out = []
-    pos = 0
-    for block in m:
-        out.append(sum(mbar[pos:pos + block]))
-        pos += block
-    return tuple(out)
-
-
 def iter_multiindices(
     k: int,
     lower: Sequence[int] | None = None,

@@ -3,19 +3,17 @@
 A network is an ordered cell list, a type per cell, and for each cell its
 in-edges: (source position, weight) pairs sorted by source position, the
 weight drawn from the monoid registered for the (type(target), type(source))
-pair.  Parallel edges are combined with that monoid while parsing and edges
-whose weight is the monoid zero are dropped, so every stored weight is
-nonzero.  Evaluating a per-type tuple of components cell by cell on the
+pair.  The JSON form lists edges only.  While parsing, each bundle of
+parallel edges is combined once by its monoid, independently of the order of
+the edge list; a combined weight that is not finite is refused, and one that
+is the monoid zero is dropped, so every stored weight is finite and nonzero.
+Evaluating a per-type tuple of components cell by cell on the
 in-neighborhoods yields the network-level function; a fixed-step RK4
-integrator drives it as dynamics.
+integrator drives it as dynamics.  States are scalars: every type has state
+dimension 1.
 
 Cost model: O(N + E) memory for N cells and E distinct nonzero edges; one
 vector field costs O(E) neighbor lookups plus N component evaluations.
-
-The schema records a per-type state dimension, but evaluation and
-integration operate on scalar (dimension-1) states, which is all the shipped
-component families support; higher dimensions are carried as metadata for
-black-box users.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ class Network:
 
     cells: list[str]
     type_of: dict[str, int]
-    n_types: int
-    state_dims: dict[int, int]
     registry: MonoidRegistry
     # in_edges[c] = ((d, weight), ...) for the edges d -> c, sorted by d; weights nonzero
     in_edges: list[tuple[tuple[int, Any], ...]]
@@ -60,14 +56,6 @@ class Network:
                 f"no monoid registered for type pair ({target_type},{source_type})"
             ) from None
 
-    def weight(self, to: str, frm: str) -> Any:
-        """Weight of the edge ``frm`` -> ``to``, or None when there is none."""
-        d = self.index[frm]
-        for source, w in self.in_edges[self.index[to]]:
-            if source == d:
-                return w
-        return None
-
     def in_neighborhood(self, cell: str, states: Mapping[str, float]) -> tuple[NeighborInput, ...]:
         """All in-edges of ``cell``, paired with the source states, in source
         order.  Zero weights were dropped at parse time; that cannot change
@@ -81,10 +69,6 @@ class Network:
         ])
 
 
-def _weight_jsonable(w: Any) -> Any:
-    return list(w) if isinstance(w, tuple) else w
-
-
 def _list(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -92,30 +76,39 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
+_KEYS = ("types", "monoids", "cells", "edges")
+
+
 def parse_network(doc: dict) -> Network:
     """Build a validated network from its JSON document.
 
-    Edges may come as an ``edges`` list (absent edge = monoid zero) or as an
-    explicit ``matrix`` of rows (null = no edge); explicit zero weights are
-    canonicalized to "no edge".  Parallel edges in the edge list are
-    combined with the pair's monoid operation, in document order.  Every
-    malformed entry raises :class:`SpecFormatError` naming it.
+    An absent edge is the monoid zero.  The parallel edges between two cells
+    are combined once with the pair's monoid, so the stored weight does not
+    depend on their order in ``edges``.  Every malformed entry, unknown
+    top-level key, state dimension other than 1 and non-finite combined
+    weight raises :class:`SpecFormatError` naming it.
     """
     if not isinstance(doc, dict):
         raise SpecFormatError("network spec must be a JSON object")
+    for key in doc:
+        if key not in _KEYS:
+            raise SpecFormatError(f"network spec: unknown key {key!r}, expected one of {_KEYS}")
     for key in ("types", "cells"):
         if key not in doc:
             raise SpecFormatError(f"network spec is missing {key!r}")
 
-    state_dims: dict[int, int] = {}
+    type_ids: set[int] = set()
     for i, t in enumerate(_list(doc, "types")):
         idx = spec_field(t, f"types[{i}]", "id", spec_int)
         if idx < 1:
             raise SpecFormatError(f"type ids are 1-based, got {idx}")
-        state_dims[idx] = spec_field(t, f"types[{i}]", "state_dim", spec_int, default=1)
-    n_types = max(state_dims) if state_dims else 0
-    if set(state_dims) != set(range(1, n_types + 1)):
-        raise SpecFormatError(f"type ids must cover 1..{n_types}, got {sorted(state_dims)}")
+        dim = spec_field(t, f"types[{i}]", "state_dim", spec_int, default=1)
+        if dim != 1:
+            raise SpecFormatError(f"types[{i}]: 'state_dim' must be 1, got {dim}")
+        type_ids.add(idx)
+    n_types = max(type_ids, default=0)
+    if len(type_ids) != n_types:
+        raise SpecFormatError(f"type ids must cover 1..{n_types}, got {sorted(type_ids)}")
 
     cells: list[str] = []
     type_of: dict[str, int] = {}
@@ -124,7 +117,7 @@ def parse_network(doc: dict) -> Network:
         if cid in type_of:
             raise SpecFormatError(f"duplicate cell id {cid!r}")
         t = spec_field(entry, f"cells[{i}]", "type", spec_int)
-        if t not in state_dims:
+        if t not in type_ids:
             raise SpecFormatError(f"cell {cid!r} has unknown type {t}")
         cells.append(cid)
         type_of[cid] = t
@@ -139,48 +132,16 @@ def parse_network(doc: dict) -> Network:
             pair = (int(i_s), int(j_s))
         except ValueError:
             raise SpecFormatError(f"monoid key {key!r} is not 'target,source'") from None
-        if pair[0] not in state_dims or pair[1] not in state_dims:
+        if pair[0] not in type_ids or pair[1] not in type_ids:
             raise SpecFormatError(f"monoid key {key!r} names an unknown type")
         try:
             registry[pair] = monoid_by_name(str(name))
         except ValueError as exc:
             raise SpecFormatError(f"monoids[{key!r}]: {exc}") from None
 
-    n = len(cells)
     index = {cid: i for i, cid in enumerate(cells)}
-    incoming: list[dict[int, Any]] = [{} for _ in range(n)]
-
-    def add_edge(c: int, d: int, raw: Any, where: str) -> None:
-        pair = (type_of[cells[c]], type_of[cells[d]])
-        monoid = registry.get(pair)
-        if monoid is None:
-            raise SpecFormatError(f"no monoid declared for type pair {pair}")
-        try:
-            w = monoid.parse(raw)
-        except ValueError as exc:
-            raise SpecFormatError(f"{where}: {exc}") from None
-        row = incoming[c]
-        if d in row:
-            w = monoid.combine(row[d], w)
-        if monoid.is_zero(w):
-            row.pop(d, None)
-        else:
-            row[d] = w
-
-    if "matrix" in doc:
-        rows = doc["matrix"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise SpecFormatError("network spec: 'matrix' must be a list of rows")
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise SpecFormatError(
-                f"non-square matrix: expected {n}x{n}, got "
-                f"{len(rows)}x{max((len(r) for r in rows), default=0)}"
-            )
-        for c in range(n):
-            for d in range(n):
-                if rows[c][d] is not None:
-                    add_edge(c, d, rows[c][d], f"matrix[{c}][{d}]")
-
+    # bundles[c][d] = the parsed weights of the parallel edges d -> c
+    bundles: list[dict[int, list]] = [{} for _ in cells]
     for i, edge in enumerate(_list(doc, "edges")):
         where = f"edges[{i}]"
         to, frm = spec_field(edge, where, "to", str), spec_field(edge, where, "from", str)
@@ -188,33 +149,32 @@ def parse_network(doc: dict) -> Network:
             raise SpecFormatError(f"{where} is missing 'weight'")
         if to not in index or frm not in index:
             raise SpecFormatError(f"{where} references unknown cell: {edge!r}")
-        add_edge(index[to], index[frm], edge["weight"], where)
+        monoid = registry.get((type_of[to], type_of[frm]))
+        if monoid is None:
+            raise SpecFormatError(f"no monoid declared for type pair {(type_of[to], type_of[frm])}")
+        try:
+            w = monoid.parse(edge["weight"])
+        except ValueError as exc:
+            raise SpecFormatError(f"{where}: {exc}") from None
+        bundles[index[to]].setdefault(index[frm], []).append(w)
 
-    return Network(
-        cells=cells,
-        type_of=type_of,
-        n_types=n_types,
-        state_dims=state_dims,
-        registry=registry,
-        in_edges=[tuple(sorted(row.items())) for row in incoming],
-    )
+    in_edges = []
+    for c, row in enumerate(bundles):
+        kept = []
+        for d, weights in sorted(row.items()):
+            monoid = registry[(type_of[cells[c]], type_of[cells[d]])]
+            try:
+                w = monoid.combine(weights)
+            except OverflowError:
+                w = math.inf
+            if not math.isfinite(w):
+                raise SpecFormatError(
+                    f"the edges from {cells[d]!r} to {cells[c]!r} combine to a non-finite weight")
+            if w != monoid.zero:
+                kept.append((d, w))
+        in_edges.append(tuple(kept))
 
-
-def network_to_json(net: Network) -> dict:
-    """Canonical JSON form (edges list, sorted); parse/serialize round-trips
-    losslessly."""
-    edges = [
-        {"to": to, "from": net.cells[d], "weight": _weight_jsonable(w)}
-        for to, row in zip(net.cells, net.in_edges)
-        for d, w in row
-    ]
-    edges.sort(key=lambda e: (e["to"], e["from"]))
-    return {
-        "types": [{"id": t, "state_dim": net.state_dims[t]} for t in sorted(net.state_dims)],
-        "monoids": {f"{i},{j}": net.registry[(i, j)].name for i, j in sorted(net.registry)},
-        "cells": [{"id": c, "type": net.type_of[c]} for c in net.cells],
-        "edges": edges,
-    }
+    return Network(cells=cells, type_of=type_of, registry=registry, in_edges=in_edges)
 
 
 def evaluate_vector_field(

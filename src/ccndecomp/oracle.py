@@ -89,11 +89,7 @@ def expand(multiplicity: Sequence[int], inputs: Sequence[NeighborInput]) -> Cell
 
 
 def inputs_jsonable(inputs: Sequence[NeighborInput]) -> list[dict]:
-    return [
-        {"type": e.type_index, "weight": list(e.weight) if isinstance(e.weight, tuple) else e.weight,
-         "state": e.state}
-        for e in inputs
-    ]
+    return [{"type": e.type_index, "weight": e.weight, "state": e.state} for e in inputs]
 
 
 def zero_f0(x: float) -> float:
@@ -397,7 +393,7 @@ class NeighborhoodCheck:
         w1, w2 = monoid.sample(self.rng), monoid.sample(self.rng)
         state = sample_dyadic(self.rng)
         return (NeighborInput(j + 1, w1, state), NeighborInput(j + 1, w2, state),
-                NeighborInput(j + 1, monoid.combine(w1, w2), state))
+                NeighborInput(j + 1, monoid.combine((w1, w2)), state))
 
     def zero_input(self) -> NeighborInput:
         """An input of a random source type carrying that type's zero weight."""

@@ -18,10 +18,9 @@ from ccndecomp import (
     build_symmetric_power,
     make_additive_positive,
     make_additive_real,
-    make_free_parallel,
-    monoid_by_name,
 )
 from ccndecomp.coupling import check_size_cap, subsets
+from ccndecomp.monoid import WeightMonoid
 from ccndecomp.multiindex import iter_multiindices, ones
 from ccndecomp.oracle import BlackBoxOracle, NeighborInput, OracleComponent, expand, zero_f0
 
@@ -55,6 +54,18 @@ def shipped_oracles():
 
 def finite_order_oracles():
     return [(name, o, ms) for name, o, ms in shipped_oracles() if o.coeffs is not None]
+
+
+def make_free_parallel() -> WeightMonoid:
+    """Finite multisets of edge labels, as sorted tuples, under multiset
+    union: the free commutative monoid, which can represent any bundle of
+    parallel edges.  Its weights are not numbers, so no network names it."""
+    return WeightMonoid(
+        name="free_parallel",
+        combine=lambda bundle: tuple(sorted(label for w in bundle for label in w)),
+        zero=(),
+        sample=lambda rng: tuple(sorted(rng.choice("abc") for _ in range(rng.randint(0, 3)))),
+    )
 
 
 def broken_merge_oracle():
@@ -219,36 +230,25 @@ def reference_subsets(inputs):
 # --- dense network reference ----------------------------------------------
 
 def dense_in_neighborhood(doc: dict, cell: str, states: dict) -> tuple[NeighborInput, ...]:
-    """Reference for ``Network.in_neighborhood``: build the dense N x N
-    in-adjacency matrix of a valid network document (matrix rows first, then
-    edges combined in document order, zero weights dropped) and scan every
-    source of ``cell`` in cell order."""
+    """Reference for ``Network.in_neighborhood``: gather the parallel edges of
+    a valid network document into a dense N x N in-adjacency matrix of
+    bundles, combine each bundle (OR for boolean weights, otherwise the exact
+    rational sum rounded once), drop zero weights and scan every source of
+    ``cell`` in cell order."""
     cells = [str(c["id"]) for c in doc["cells"]]
     type_of = {str(c["id"]): int(c["type"]) for c in doc["cells"]}
-    monoids = {tuple(int(p) for p in key.split(",")): monoid_by_name(name)
-               for key, name in doc["monoids"].items()}
     pos = {cid: i for i, cid in enumerate(cells)}
-    matrix = [[None] * len(cells) for _ in cells]
-
-    def put(c, d, raw):
-        m = monoids[(type_of[cells[c]], type_of[cells[d]])]
-        w = m.parse(raw)
-        if matrix[c][d] is not None:
-            w = m.combine(matrix[c][d], w)
-        matrix[c][d] = None if m.is_zero(w) else w
-
-    for c, row in enumerate(doc.get("matrix", [])):
-        for d, raw in enumerate(row):
-            if raw is not None:
-                put(c, d, raw)
+    bundles = [[[] for _ in cells] for _ in cells]
     for e in doc.get("edges", []):
-        put(pos[e["to"]], pos[e["from"]], e["weight"])
-    c = pos[cell]
-    return tuple(
-        NeighborInput(type_of[src], matrix[c][d], states[src])
-        for d, src in enumerate(cells)
-        if matrix[c][d] is not None
-    )
+        bundles[pos[e["to"]]][pos[e["from"]]].append(e["weight"])
+    out = []
+    for src, bundle in zip(cells, bundles[pos[cell]]):
+        if not bundle:
+            continue
+        w = any(bundle) if isinstance(bundle[0], bool) else float(sum(map(Fraction, bundle)))
+        if w:
+            out.append(NeighborInput(type_of[src], w, states[src]))
+    return tuple(out)
 
 
 # --- brute-force combinatorial oracles --------------------------------------
@@ -340,7 +340,8 @@ def checker_golden_reports(seed: int = 3, trials: int = 200) -> dict:
     component (its evaluator doubling as the coupling and basis component),
     plus the coupling and basis family checks of the closed-form square
     under ``bool_or`` weights.  Pins the sampler's draw order and the
-    witness format, including the tuple weights of ``free_parallel``."""
+    witness format, including the tuple weights of ``free_parallel``, which
+    ``report.jsonable`` turns into lists."""
     from ccndecomp import (
         BasisFamily,
         CouplingFamily,

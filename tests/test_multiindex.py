@@ -1,14 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ccndecomp.multiindex import (
     DimensionMismatch,
     apply_multiplicity,
     as_multiindex,
-    compose_multiplicities,
     iter_multiindices,
     norm,
     ones,
@@ -37,28 +34,6 @@ def test_apply_multiplicity_examples():
     assert apply_multiplicity((2, 3), ["wa", "wb"]) == ["wa", "wa", "wb", "wb", "wb"]
     with pytest.raises(DimensionMismatch):
         apply_multiplicity((1,), ["a", "b"])
-
-
-def test_compose_multiplicities_examples():
-    assert compose_multiplicities((2, 1, 2), (1, 2)) == (2, 3)
-    assert compose_multiplicities(ones(3), (1, 2)) == (1, 2)
-    assert compose_multiplicities((3,), (1,)) == (3,)
-    with pytest.raises(DimensionMismatch):
-        compose_multiplicities((1, 1), (1, 2))
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).map(tuple),
-    st.data(),
-)
-@settings(max_examples=150)
-def test_apply_compose_coherence(m, data):
-    mbar = tuple(
-        data.draw(st.integers(min_value=0, max_value=3)) for _ in range(norm(m))
-    )
-    v = [f"v{i}" for i in range(len(m))]
-    composed = compose_multiplicities(mbar, m)
-    assert apply_multiplicity(composed, v) == apply_multiplicity(mbar, apply_multiplicity(m, v))
 
 
 def test_enumerate_examples():
