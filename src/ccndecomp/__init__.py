@@ -53,7 +53,6 @@ from .oracle import (
     OracleComponent,
     OracleSpec,
     PolynomialOracle,
-    SpecFormatError,
     admissibility_check,
     build_exponential,
     build_nested,
@@ -65,6 +64,7 @@ from .oracle import (
     type_multiindex,
     within_tolerance,
 )
+from .spec import SpecFormatError
 from .stirling import (
     binomial,
     coefficient_c,

@@ -32,62 +32,20 @@ from .oracle import (
     NeighborInput,
     OracleComponent,
     PolynomialOracle,
-    SpecFormatError,
     admissibility_check,
     oracle_specs_from_json,
-    spec_field,
-    spec_int,
     type_multiindex,
 )
+from .spec import SpecFormatError, list_of, load, spec_field, spec_int, spec_number, spec_object
 from .stirling import identity_report, table
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecFormatError(f"{path}: {exc}") from exc
-
-
-def _load_spec(path: str, parse):
-    """``parse`` applied to the JSON document at ``path``; a malformed
-    document raises SpecFormatError naming the file."""
-    doc = _load_json(path)
-    try:
-        return parse(doc)
-    except SpecFormatError as exc:
-        raise SpecFormatError(f"{path}: {exc}") from None
-
-
-def _parse_x0(doc, path: str, cells: list[str]) -> dict[str, float]:
+def _parse_x0(doc, cells: list[str]) -> dict[str, float]:
     """Initial state of every cell from an x0 document: {cell: state} or
     {"states": {cell: state}}.  States must be finite numbers."""
-    if isinstance(doc, dict) and "states" in doc:
-        doc = doc["states"]
-    if not isinstance(doc, dict):
-        raise SpecFormatError(f"{path}: x0 must map cell ids to states, got {type(doc).__name__}")
-    x0 = {}
-    for cell in cells:
-        if cell not in doc:
-            raise SpecFormatError(f"{path}: x0 is missing cell {cell!r}")
-        try:
-            x0[cell] = _finite(doc[cell], "state")
-        except ValueError as exc:
-            raise SpecFormatError(f"{path}: cell {cell!r}: {exc}") from None
-    return x0
-
-
-def _finite(raw, what: str) -> float:
-    """``raw`` as a finite float; anything else raises ValueError naming
-    ``what``."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"bad {what} {raw!r}, expected a finite number")
-    return value
+    doc = spec_object(doc, "x0")
+    doc = spec_object(doc.get("states", doc), "x0")
+    return {cell: spec_field(doc, "x0", cell, spec_number) for cell in cells}
 
 
 def _write(doc, out_path: str | None) -> None:
@@ -103,41 +61,21 @@ def _write(doc, out_path: str | None) -> None:
 _parse_weight = make_additive_real().parse
 
 
-def _parse_inputs(raw) -> tuple[NeighborInput, ...]:
-    if not isinstance(raw, list):
-        raise SpecFormatError(f"'neighborhood' must be a list, got {type(raw).__name__}")
-    out = []
-    for entry in raw:
-        try:
-            state = _finite(entry["state"], "'state'")
-            t = spec_field(entry, "neighborhood entry", "type", spec_int)
-            w = spec_field(entry, "neighborhood entry", "weight", _parse_weight)
-            out.append(NeighborInput(t, w, state))
-        except SpecFormatError:
-            raise
-        except KeyError as missing:
-            raise SpecFormatError(f"neighborhood entry is missing {missing}") from None
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(f"bad neighborhood entry {entry!r}: {exc}") from None
-    return tuple(out)
-
-
-def _parse_points(doc, path: str) -> list[tuple[float, CellSpec]]:
+def _parse_points(doc) -> list[tuple[float, CellSpec]]:
     """(x, inputs) of every point in a points document: {"points": [...]},
     a list of points, or a single point object."""
-    if isinstance(doc, dict):
-        doc = doc.get("points", [doc])
     if not isinstance(doc, list):
-        raise SpecFormatError(f"{path}: expected a list of points")
+        doc = spec_field(doc, "points document", "points", list_of(), default=[doc])
     points = []
     for i, p in enumerate(doc):
-        try:
-            if not isinstance(p, dict):
-                raise SpecFormatError(f"point must be an object, got {p!r}")
-            x = _finite(p.get("x", 0.0), "'x'")
-            points.append((x, _parse_inputs(p.get("neighborhood", []))))
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(f"{path}: point {i}: {exc}") from None
+        x = spec_field(p, f"point {i}", "x", spec_number, default=0.0)
+        where = f"point {i}: neighborhood entry"
+        inputs = tuple(
+            NeighborInput(spec_field(entry, where, "type", spec_int),
+                          spec_field(entry, where, "weight", _parse_weight),
+                          spec_field(entry, where, "state", spec_number))
+            for entry in spec_field(p, f"point {i}", "neighborhood", list_of(), default=[]))
+        points.append((x, inputs))
     return points
 
 
@@ -161,8 +99,11 @@ class _PointMemo(OracleComponent):
 
 
 def cmd_verify(args) -> int:
-    net = _load_spec(args.network, parse_network)
-    specs = _load_spec(args.oracle, oracle_specs_from_json)
+    if not 0 <= args.tol < math.inf:
+        print(f"error: --tol must be non-negative and finite, got {args.tol}", file=sys.stderr)
+        return 2
+    net = load(args.network, parse_network)
+    specs = load(args.oracle, oracle_specs_from_json)
     family_trials = min(args.trials, 1000)
     results = []
     all_ok = True
@@ -244,16 +185,16 @@ def _parse_bound(text: str, oracle: OracleComponent) -> tuple[int, ...]:
 
 
 def cmd_decompose(args) -> int:
-    specs = _load_spec(args.oracle, oracle_specs_from_json)
+    specs = load(args.oracle, oracle_specs_from_json)
     if len(specs) != 1:
-        raise SpecFormatError("decompose expects exactly one oracle spec")
+        raise SpecFormatError(f"{args.oracle}: decompose expects exactly one oracle spec")
     oracle = specs[0].build()
 
     bound = _parse_bound(args.bound, oracle) if args.bound else oracle.order_bound
     if args.to == "basis" and bound is None:
         raise SpecFormatError("finite support bound required (--bound) for basis decomposition")
 
-    parsed = _parse_points(_load_json(args.points), args.points)
+    parsed = load(args.points, _parse_points)
     # Refuse every point that cannot be decomposed before any evaluation.
     for i, (_, inputs) in enumerate(parsed):
         try:
@@ -303,10 +244,10 @@ def cmd_simulate(args) -> int:
     if not 0 < args.dt < math.inf:
         print(f"error: --dt must be positive and finite, got {args.dt}", file=sys.stderr)
         return 2
-    net = _load_spec(args.network, parse_network)
-    specs = _load_spec(args.oracle, oracle_specs_from_json)
+    net = load(args.network, parse_network)
+    specs = load(args.oracle, oracle_specs_from_json)
     oracles = {spec.type_index: spec.build() for spec in specs}
-    x0 = _parse_x0(_load_json(args.x0), args.x0, net.cells)
+    x0 = load(args.x0, lambda doc: _parse_x0(doc, net.cells))
     try:
         trajectory = integrate_rk4(net, oracles, x0, args.dt, args.steps)
     except DivergenceError as exc:
@@ -374,9 +315,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

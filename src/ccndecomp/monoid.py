@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .report import CheckReport
+from .spec import spec_number
 
 
 def sample_dyadic(rng: random.Random, lo: float = -2.0, hi: float = 2.0, denom: int = 64) -> float:
@@ -55,17 +56,10 @@ def _exact_sum(weights: Sequence[float]) -> float:
         return float(sum(map(Fraction, weights)))
 
 
-def _parse_number(name: str, minimum: float | None = None) -> Callable[[Any], float]:
+def _parse_number(name: str, minimum: float) -> Callable[[Any], float]:
     def parse(raw: Any) -> float:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ValueError(f"monoid {name} expects a number, got {raw!r}")
-        try:
-            w = float(raw)
-        except OverflowError:
-            w = math.inf
-        if not math.isfinite(w):
-            raise ValueError(f"monoid {name} expects a finite number, got {raw!r}")
-        if minimum is not None and not w >= minimum:
+        w = spec_number(raw)
+        if not w >= minimum:
             raise ValueError(f"monoid {name} expects a number >= {minimum}, got {raw!r}")
         return w
 
@@ -80,7 +74,7 @@ def make_additive_real() -> WeightMonoid:
         combine=_exact_sum,
         zero=0.0,
         sample=sample_dyadic,
-        parse=_parse_number("additive_real"),
+        parse=spec_number,
     )
 
 

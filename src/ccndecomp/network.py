@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .monoid import MonoidRegistry, WeightMonoid, monoid_by_name
-from .oracle import NeighborInput, OracleComponent, SpecFormatError, spec_field, spec_int
+from .oracle import NeighborInput, OracleComponent
+from .spec import SpecFormatError, list_of, spec_field, spec_int, spec_object
 
 
 class DivergenceError(RuntimeError):
@@ -69,13 +70,6 @@ class Network:
         ])
 
 
-def _list(doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise SpecFormatError(f"network spec: {key!r} must be a list, got {type(value).__name__}")
-    return value
-
-
 _KEYS = ("types", "monoids", "cells", "edges")
 
 
@@ -88,17 +82,12 @@ def parse_network(doc: dict) -> Network:
     top-level key, state dimension other than 1 and non-finite combined
     weight raises :class:`SpecFormatError` naming it.
     """
-    if not isinstance(doc, dict):
-        raise SpecFormatError("network spec must be a JSON object")
-    for key in doc:
+    for key in spec_object(doc, "network spec"):
         if key not in _KEYS:
             raise SpecFormatError(f"network spec: unknown key {key!r}, expected one of {_KEYS}")
-    for key in ("types", "cells"):
-        if key not in doc:
-            raise SpecFormatError(f"network spec is missing {key!r}")
 
     type_ids: set[int] = set()
-    for i, t in enumerate(_list(doc, "types")):
+    for i, t in enumerate(spec_field(doc, "network spec", "types", list_of())):
         idx = spec_field(t, f"types[{i}]", "id", spec_int)
         if idx < 1:
             raise SpecFormatError(f"type ids are 1-based, got {idx}")
@@ -112,24 +101,22 @@ def parse_network(doc: dict) -> Network:
 
     cells: list[str] = []
     type_of: dict[str, int] = {}
-    for i, entry in enumerate(_list(doc, "cells")):
-        cid = spec_field(entry, f"cells[{i}]", "id", str)
+    for i, entry in enumerate(spec_field(doc, "network spec", "cells", list_of())):
+        where = f"cells[{i}]"
+        cid = spec_field(entry, where, "id", str)
         if cid in type_of:
             raise SpecFormatError(f"duplicate cell id {cid!r}")
-        t = spec_field(entry, f"cells[{i}]", "type", spec_int)
+        t = spec_field(entry, where, "type", spec_int)
         if t not in type_ids:
             raise SpecFormatError(f"cell {cid!r} has unknown type {t}")
         cells.append(cid)
         type_of[cid] = t
 
-    monoid_doc = doc.get("monoids", {})
-    if not isinstance(monoid_doc, dict):
-        raise SpecFormatError(f"network spec: 'monoids' must be an object, got {monoid_doc!r}")
     registry: MonoidRegistry = {}
-    for key, name in monoid_doc.items():
+    for key, name in spec_field(doc, "network spec", "monoids", spec_object, default={}).items():
         try:
-            i_s, j_s = str(key).split(",")
-            pair = (int(i_s), int(j_s))
+            i_s, j_s = key.split(",")
+            pair = (spec_int(i_s), spec_int(j_s))
         except ValueError:
             raise SpecFormatError(f"monoid key {key!r} is not 'target,source'") from None
         if pair[0] not in type_ids or pair[1] not in type_ids:
@@ -142,7 +129,7 @@ def parse_network(doc: dict) -> Network:
     index = {cid: i for i, cid in enumerate(cells)}
     # bundles[c][d] = the parsed weights of the parallel edges d -> c
     bundles: list[dict[int, list]] = [{} for _ in cells]
-    for i, edge in enumerate(_list(doc, "edges")):
+    for i, edge in enumerate(spec_field(doc, "network spec", "edges", list_of(), default=[])):
         where = f"edges[{i}]"
         to, frm = spec_field(edge, where, "to", str), spec_field(edge, where, "from", str)
         if "weight" not in edge:
@@ -155,7 +142,7 @@ def parse_network(doc: dict) -> Network:
         try:
             w = monoid.parse(edge["weight"])
         except ValueError as exc:
-            raise SpecFormatError(f"{where}: {exc}") from None
+            raise SpecFormatError(f"{where}: bad 'weight': {exc}") from None
         bundles[index[to]].setdefault(index[frm], []).append(w)
 
     in_edges = []

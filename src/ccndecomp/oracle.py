@@ -26,6 +26,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 from .monoid import WeightMonoid, sample_dyadic
 from .multiindex import MultiIndex, apply_multiplicity, as_multiindex, norm
 from .report import CheckReport
+from .spec import SpecFormatError, list_of, spec_field, spec_int, spec_number, spec_object
 
 
 class NeighborInput(NamedTuple):
@@ -38,39 +39,6 @@ class NeighborInput(NamedTuple):
 
 
 CellSpec = tuple[NeighborInput, ...]
-
-
-class SpecFormatError(ValueError):
-    """A JSON spec document is malformed."""
-
-
-_REQUIRED = object()
-
-
-def spec_field(entry: Any, where: str, key: str, convert: Callable[[Any], Any],
-               default: Any = _REQUIRED) -> Any:
-    """``convert(entry[key])``; a non-object entry, a missing key without a
-    default, or a value ``convert`` rejects raises SpecFormatError naming
-    ``where`` and ``key``."""
-    if not isinstance(entry, dict):
-        raise SpecFormatError(f"{where} must be an object, got {entry!r}")
-    if key not in entry:
-        if default is _REQUIRED:
-            raise SpecFormatError(f"{where} is missing {key!r}")
-        return default
-    try:
-        return convert(entry[key])
-    except (TypeError, ValueError, ArithmeticError):
-        raise SpecFormatError(f"{where}: bad {key!r} value {entry[key]!r}") from None
-
-
-def spec_int(value: Any) -> int:
-    """An integer spec value: an int, an integral float or a decimal string.
-    Booleans and non-integral numbers such as 1.5 are refused, not
-    truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def type_multiindex(inputs: Sequence[NeighborInput], n_types: int) -> MultiIndex:
@@ -471,7 +439,7 @@ def parse_f0(label: str) -> Callable[[float], float]:
         return zero_f0
     if label.startswith("linear:"):
         try:
-            rate = float(label.split(":", 1)[1])
+            rate = spec_number(float(label.split(":", 1)[1]))
         except ValueError:
             raise SpecFormatError(f"bad f0 rate in {label!r}") from None
         return lambda x: rate * x
@@ -511,8 +479,8 @@ class OracleSpec:
                 )
             if self.family == "nested":
                 return build_nested(
-                    param("outer", _list_of(_rational)),
-                    param("inner", _list_of(_list_of(_rational))),
+                    param("outer", list_of(_rational)),
+                    param("inner", list_of(list_of(_rational))),
                     f0,
                     target_type=self.type_index,
                 )
@@ -530,38 +498,21 @@ class OracleSpec:
         }
 
 
-def _object(value: Any) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected an object")
-    return dict(value)
-
-
 def _rational(value: Any) -> Fraction:
     return Fraction(str(value))
 
 
-def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], list]:
-    def parse(value: Any) -> list:
-        if not isinstance(value, list):
-            raise TypeError("expected a list")
-        return [convert(v) for v in value]
-
-    return parse
-
-
 def _coeff_map(key: Callable[[str], Any]) -> Callable[[Any], dict]:
     """Parser of a {key: rational} coefficient object."""
-    return lambda value: {key(k): _rational(a) for k, a in _object(value).items()}
+    return lambda value: {key(k): _rational(a) for k, a in spec_object(value).items()}
 
 
 def oracle_spec_from_json(doc: dict, where: str = "oracle spec") -> OracleSpec:
     """Parse and validate one spec; errors name ``where`` and the key."""
-    if not isinstance(doc, dict):
-        raise SpecFormatError(f"{where} must be a JSON object")
     spec = OracleSpec(
         type_index=spec_field(doc, where, "type_index", spec_int, default=1),
         family=spec_field(doc, where, "family", str),
-        params=spec_field(doc, where, "params", _object, default={}),
+        params=spec_field(doc, where, "params", spec_object, default={}),
         f0=spec_field(doc, where, "f0", str, default="zero"),
         n_types=spec_field(doc, where, "n_types", spec_int, default=0),
     )

@@ -278,12 +278,13 @@ MALFORMED_POINTS = [
     ("missing_weight", {"points": [{"x": 0.0, "neighborhood": [_entry(weight=1)]}]}, "'weight'"),
     ("missing_state", {"points": [{"x": 0.0, "neighborhood": [_entry(state=1)]}]}, "'state'"),
     ("neighborhood_not_list", {"points": [{"x": 0.0, "neighborhood": {"type": 1}}]},
-     "'neighborhood' must be a list"),
-    ("entry_not_object", {"points": [{"neighborhood": [3]}]}, "bad neighborhood entry 3"),
+     "point 0: bad 'neighborhood' value {'type': 1}"),
+    ("entry_not_object", {"points": [{"neighborhood": [3]}]},
+     "point 0: neighborhood entry must be an object, got int"),
     ("point_not_object", {"points": [7]}, "must be an object"),
-    ("points_not_list", {"points": 5}, "expected a list of points"),
+    ("points_not_list", {"points": 5}, "points document: bad 'points' value 5"),
     ("bad_state", {"points": [{"neighborhood": [dict(_entry(), state="hot")]}]},
-     "bad neighborhood entry"),
+     "point 0: neighborhood entry: bad 'state' value 'hot'"),
     ("bad_x", {"points": [{"x": [1], "neighborhood": []}]}, "point 0"),
     ("fractional_type", {"points": [{"neighborhood": [dict(_entry(), type=1.5)]}]},
      "neighborhood entry: bad 'type' value 1.5"),
@@ -298,9 +299,12 @@ MALFORMED_POINTS = [
     ("weight_infinity", {"points": [{"neighborhood": [dict(_entry(), weight=float("inf"))]}]},
      "neighborhood entry: bad 'weight' value inf"),
     ("x_infinity", {"points": [{"x": float("-inf"), "neighborhood": []}]},
-     "point 0: bad 'x' -inf, expected a finite number"),
+     "point 0: bad 'x' value -inf"),
     ("state_nan", {"points": [{"neighborhood": [dict(_entry(), state=float("nan"))]}]},
-     "bad 'state' nan, expected a finite number"),
+     "neighborhood entry: bad 'state' value nan"),
+    ("x_bool", {"points": [{"x": True, "neighborhood": []}]}, "point 0: bad 'x' value True"),
+    ("state_numeric_string", {"points": [{"neighborhood": [dict(_entry(), state="1.5")]}]},
+     "neighborhood entry: bad 'state' value '1.5'"),
 ]
 
 
@@ -406,28 +410,28 @@ def _decay_net(**changes):
 MALFORMED_NETWORKS = [
     ("type_missing_id", _decay_net(types=[{"state_dim": 1}]), "types[0] is missing 'id'"),
     ("type_bad_id", _decay_net(types=[{"id": "one"}]), "types[0]: bad 'id'"),
-    ("types_not_list", _decay_net(types={"id": 1}), "'types' must be a list"),
+    ("types_not_list", _decay_net(types={"id": 1}), "network spec: bad 'types' value"),
     ("cell_missing_id", _decay_net(cells=[{"type": 1}]), "cells[0] is missing 'id'"),
     ("cell_not_object", _decay_net(cells=["u"]), "cells[0] must be an object"),
     ("cell_bad_type", _decay_net(cells=[{"id": "u", "type": None}]), "cells[0]: bad 'type'"),
-    ("monoids_not_object", _decay_net(monoids=["1,1"]), "'monoids' must be an object"),
+    ("monoids_not_object", _decay_net(monoids=["1,1"]), "network spec: bad 'monoids' value"),
     ("matrix_not_rows", _decay_net(matrix=[3]), "network spec: unknown key 'matrix'"),
     ("state_dim_2", _decay_net(types=[{"id": 1, "state_dim": 2}]),
      "types[0]: 'state_dim' must be 1, got 2"),
     ("edges_object", _decay_net(edges={"to": "u", "from": "u", "weight": 1.0}),
-     "'edges' must be a list"),
+     "network spec: bad 'edges' value"),
     ("edge_not_object", _decay_net(edges=[7]), "edges[0] must be an object"),
     ("edge_missing_weight", _decay_net(edges=[{"to": "u", "from": "u"}]),
      "edges[0] is missing 'weight'"),
     ("edge_bad_weight", _decay_net(edges=[{"to": "u", "from": "u", "weight": "heavy"}]),
-     "edges[0]: monoid additive_real expects a number"),
+     "edges[0]: bad 'weight': expected a finite number, got 'heavy'"),
     ("unknown_monoid", _decay_net(monoids={"1,1": "additive_complex"}),
      "monoids['1,1']: unknown monoid id 'additive_complex'"),
     ("type_fractional_id", _decay_net(types=[{"id": 1.5}]), "types[0]: bad 'id' value 1.5"),
     ("cell_bool_type", _decay_net(cells=[{"id": "u", "type": True}]),
      "cells[0]: bad 'type' value True"),
     ("edge_infinite_weight", _decay_net(edges=[{"to": "u", "from": "u", "weight": float("inf")}]),
-     "edges[0]: monoid additive_real expects a finite number, got inf"),
+     "edges[0]: bad 'weight': expected a finite number, got inf"),
     ("parallel_overflow", _decay_net(edges=[{"to": "u", "from": "u", "weight": 1e308}] * 2),
      "the edges from 'u' to 'u' combine to a non-finite weight"),
 ]
@@ -464,14 +468,16 @@ def test_free_parallel_weights_refused_with_shipped_components(data_dir, tmp_pat
 
 
 MALFORMED_X0 = [
-    ("list", [1.0], "x0 must map cell ids to states, got list"),
-    ("states_list", {"states": [1.0]}, "x0 must map cell ids to states, got list"),
-    ("null_state", {"u": None}, "cell 'u': bad state None"),
-    ("text_state", {"u": "warm"}, "cell 'u': bad state 'warm'"),
-    ("missing_cell", {"v": 1.0}, "x0 is missing cell 'u'"),
+    ("list", [1.0], "x0 must be an object, got list"),
+    ("states_list", {"states": [1.0]}, "x0 must be an object, got list"),
+    ("null_state", {"u": None}, "x0: bad 'u' value None"),
+    ("text_state", {"u": "warm"}, "x0: bad 'u' value 'warm'"),
+    ("missing_cell", {"v": 1.0}, "x0 is missing 'u'"),
     # written as Infinity; 1e999 parses to the same float
-    ("infinite_state", {"u": float("inf")}, "cell 'u': bad state inf"),
-    ("nan_state", {"u": float("nan")}, "cell 'u': bad state nan"),
+    ("infinite_state", {"u": float("inf")}, "x0: bad 'u' value inf"),
+    ("nan_state", {"u": float("nan")}, "x0: bad 'u' value nan"),
+    ("bool_state", {"u": True}, "x0: bad 'u' value True"),
+    ("numeric_string_state", {"u": "1.5"}, "x0: bad 'u' value '1.5'"),
 ]
 
 
@@ -500,7 +506,8 @@ MALFORMED_ORACLES = [
     ("missing_family", {"params": {}}, "oracle spec is missing 'family'"),
     ("second_spec_bad", [_POWER2, dict(_POWER2, type_index=[2])],
      "oracles[1]: bad 'type_index' value [2]"),
-    ("second_spec_not_object", {"oracles": [_POWER2, 5]}, "oracles[1] must be a JSON object"),
+    ("second_spec_not_object", {"oracles": [_POWER2, 5]}, "oracles[1] must be an object, got int"),
+    ("f0_nan", dict(_POWER2, f0="linear:nan"), "oracle spec: bad f0 rate in 'linear:nan'"),
 ]
 
 
@@ -545,6 +552,79 @@ def test_malformed_oracle_value_names_its_key(run_cli, data_dir, tmp_path, doc, 
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{oracle}: {message}" in proc.stderr
+
+
+# Files every reader refuses while decoding: (name, contents, message).
+_DECAY_NET = b'{"types": [{"id": 1}], "monoids": {}, "cells": [{"id": "u", "type": 1}]}'
+BAD_FILES = {
+    "nested": (b"[" * 2048, "maximum recursion depth exceeded"),
+    "long_integer": (b'{"u": ' + b"9" * 5001 + b"}", "integer literal of 5001 digits is too long"),
+    "invalid_utf8": (b'{"u": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    "repeated_key": (_DECAY_NET.replace(b"{", b'{"types": [{"id": 1}], ', 1),
+                     "repeated key 'types'"),
+}
+
+
+def _argv(data_dir, command, role, path):
+    """``command`` on the decay fixtures with the ``role`` file replaced by ``path``."""
+    files = {"network": data_dir / "net_decay.json", "oracle": data_dir / "oracle_decay.json",
+             "points": data_dir / "points_power2.json", "x0": data_dir / "x0_decay.json"}
+    files[role] = path
+    return {
+        "verify": ["verify", files["network"], files["oracle"], "--trials", 5],
+        "decompose": ["decompose", files["oracle"], "--points", files["points"]],
+        "simulate": ["simulate", files["network"], files["oracle"], files["x0"],
+                     "--dt", 0.1, "--steps", 1],
+    }[command]
+
+
+FILE_DEFECT_RUNS = [
+    ("nested", "verify", "network"),
+    ("nested", "decompose", "points"),
+    ("nested", "simulate", "x0"),
+    ("long_integer", "simulate", "network"),
+    ("invalid_utf8", "verify", "oracle"),
+    ("repeated_key", "simulate", "network"),
+]
+
+
+@pytest.mark.parametrize("name,command,role", FILE_DEFECT_RUNS,
+                         ids=["-".join(r[:2]) for r in FILE_DEFECT_RUNS])
+def test_undecodable_file_is_usage_error(run_cli, data_dir, tmp_path, name, command, role):
+    contents, message = BAD_FILES[name]
+    path = tmp_path / f"{role}.json"
+    path.write_bytes(contents)
+    proc = run_cli(*_argv(data_dir, command, role, path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: {message}" in proc.stderr
+    assert proc.stdout == ""
+
+
+ROLE_COMMAND = {"network": "simulate", "oracle": "decompose", "points": "decompose",
+                "x0": "simulate"}
+
+
+@pytest.mark.parametrize("role", ROLE_COMMAND)
+@pytest.mark.parametrize("name", BAD_FILES)
+def test_undecodable_file_is_refused_in_every_role(data_dir, tmp_path, capsys, name, role):
+    contents, message = BAD_FILES[name]
+    path = tmp_path / f"{role}.json"
+    path.write_bytes(contents)
+    assert run(_argv(data_dir, ROLE_COMMAND[role], role, path)) == 2
+    out, err = capsys.readouterr()
+    assert f"{path}: {message}" in err and out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+def test_verify_refuses_bad_tol_before_any_trial(data_dir, capsys, tol):
+    start = time.perf_counter()
+    code = run(["verify", data_dir / "net_single.json", data_dir / "oracle_power2.json",
+                "--tol", tol])
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"--tol must be non-negative and finite, got {float(tol)}" in err
 
 
 def test_check_flags_belong_to_verify_only(run_cli, data_dir):

@@ -63,7 +63,7 @@ def test_parse_errors():
 
     doc = two_type_doc()
     doc["edges"][0]["weight"] = True  # a boolean is not an additive_real weight
-    with pytest.raises(SpecFormatError, match="expects a number"):
+    with pytest.raises(SpecFormatError, match="expected a finite number"):
         parse_network(doc)
 
     doc = two_type_doc()
