@@ -25,13 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .coupling import (
-    EXPLICIT_SIZE_CAP,
-    CouplingFamily,
-    check_size_cap,
-    exact_weighted_sum,
-    subsets,
-)
+from .coupling import EXPLICIT_SIZE_CAP, CouplingFamily, check_size_cap, subsets
+from .exact import exact_sum, exact_weighted_sum
 from .monoid import WeightMonoid
 from .multiindex import MultiIndex, as_multiindex, iter_multiindices, norm, ones, zeros
 from .oracle import (
@@ -39,6 +34,7 @@ from .oracle import (
     NeighborhoodCheck,
     NeighborInput,
     OracleComponent,
+    build_polynomial_multi,
     expand,
     type_multiindex,
     within_tolerance,
@@ -82,36 +78,17 @@ class BasisFamily:
         the coefficient support, the isolated-cell term at k = 0, zero
         elsewhere.  These correspond to the structured polynomial component
         with the same coefficients."""
-        table: dict[MultiIndex, Fraction] = {}
-        width = n_types
-        for key, a in coeffs.items():
-            k = as_multiindex(tuple(key))
-            if width is None:
-                width = len(k)
-            if len(k) != width:
-                raise ValueError(f"key {key!r} has tupleness {len(k)}, expected {width}")
-            if norm(k) == 0:
-                raise ValueError("the zero multi-index is not a valid basis key; use f0")
-            frac = Fraction(str(a)) if isinstance(a, str) else Fraction(a)
-            if frac:
-                table[k] = frac
-        if width is None:
-            raise ValueError("n_types is required when the coefficient map is empty")
-        bound = [0] * width
-        for k in table:
-            for j, e in enumerate(k):
-                bound[j] = max(bound[j], e)
-        f0 = f0 or zero_f0
-        fact = {k: math.prod(math.factorial(e) for e in k) for k in table}
+        oracle = build_polynomial_multi(coeffs, f0, n_types=n_types, target_type=target_type)
+        width, f0 = oracle.n_types, oracle.f0
+        scaled = {k: float(a) * math.prod(map(math.factorial, k)) for k, a in oracle.coeffs.items()}
 
         def component(x: float, inputs: CellSpec) -> float:
             k = type_multiindex(inputs, width)
             if norm(k) == 0:
                 return f0(x)
-            a = table.get(k)
-            if a is None:
+            value = scaled.get(k)
+            if value is None:
                 return 0.0
-            value = float(a) * fact[k]
             for e in inputs:
                 value *= e.weight * e.state
             return value
@@ -119,7 +96,7 @@ class BasisFamily:
         return cls(
             target_type=target_type,
             n_types=width,
-            support_bound=tuple(bound),
+            support_bound=oracle.order_bound,
             component=component,
         )
 
@@ -387,7 +364,7 @@ def basis_from_oracle_direct(
                 continue
             sign = -1.0 if norm(big_m) % 2 else 1.0
             terms.append(sign * weight * oracle.evaluate(x, expand(big_m, subset)))
-    value = (-1.0 if n % 2 else 1.0) * math.fsum(terms)
+    value = (-1.0 if n % 2 else 1.0) * exact_sum(terms)
 
     if cross_check:
         for j in range(oracle.n_types):

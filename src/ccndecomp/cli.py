@@ -3,7 +3,7 @@ tables, integrate trajectories.  All reports are JSON with sorted keys, so a
 fixed seed gives byte-identical output across runs.
 
 Exit codes: 0 success / all checks passed, 1 a verification failed or the
-integration diverged, 2 usage or parse error.
+integration diverged, 2 usage, parse or float-range error.
 """
 
 from __future__ import annotations
@@ -204,7 +204,12 @@ def cmd_decompose(args) -> int:
                 raise ValueError(f"neighborhood order {k_s} exceeds the declared bound {bound}")
         except ValueError as exc:
             raise type(exc)(f"{args.points}: point {i}: {exc}") from None
-    points = [_decompose_point(oracle, x, inputs, args.to, bound) for x, inputs in parsed]
+    points = []
+    for i, (x, inputs) in enumerate(parsed):
+        try:
+            points.append(_decompose_point(oracle, x, inputs, args.to, bound))
+        except ArithmeticError as exc:  # a value beyond the float range
+            raise type(exc)(f"{args.points}: point {i}: {exc}") from None
 
     report = {"oracle": specs[0].to_jsonable(), "to": args.to, "points": points}
     if oracle.coeffs is not None:
@@ -315,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

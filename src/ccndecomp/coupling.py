@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .exact import exact_sum, subset_mobius
 from .monoid import WeightMonoid, sample_dyadic
 from .multiindex import MultiIndex, iter_multiindices, norm, ones, zero_pattern, zeros
 from .oracle import (
@@ -90,33 +90,7 @@ def coupling_eval_explicit(
     for subset in subsets(inputs):
         value = float(oracle.evaluate(x, subset))
         terms.append(-value if (total_size - len(subset)) % 2 else value)
-    return math.fsum(terms)
-
-
-def dyadic_grid(values: Sequence[float]) -> tuple[list[int], int]:
-    """Finite floats as integers on one dyadic grid: ``values[i]`` equals
-    ``ints[i] / 2**shift`` exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    shift = max((den for _, den in ratios), default=1).bit_length() - 1
-    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
-
-
-def exact_weighted_sum(numerators: Sequence[int], denominator: int,
-                       values: Sequence[float]) -> float:
-    """The sum of ``numerators[i] / denominator * values[i]``, computed
-    exactly in integers on the values' dyadic grid and rounded once (an
-    exact zero is +0.0).  A sum beyond the float range raises OverflowError.
-    A non-finite value keeps float semantics: the result, or the error, is
-    that of fsum over the rounded products."""
-    if not all(map(math.isfinite, values)):
-        return math.fsum(n / denominator * v for n, v in zip(numerators, values))
-    grid, shift = dyadic_grid(values)
-    return sum(map(operator.mul, numerators, grid)) / (denominator << shift)
-
-
-# Finite values this large could overflow an intermediate partial of fsum,
-# which the exact transform would not reproduce; they take the reference path.
-_EXACT_MAGNITUDE_LIMIT = 2.0 ** 960
+    return exact_sum(terms)
 
 
 def coupling_components(
@@ -126,33 +100,16 @@ def coupling_components(
     max_size: int = EXPLICIT_SIZE_CAP,
 ) -> list[float]:
     """Coupling components at every subset of the neighborhood, indexed by
-    subset bitmask (the order of :func:`subsets`).
-
-    The oracle is evaluated once per subset; the subset Mobius transform
-    (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto 2007) then runs on
-    the values scaled to integers on one dyadic grid, so every butterfly is
-    exact and each output is rounded once.  Like the fsum in
-    :func:`coupling_eval_explicit`, that is the correctly rounded exact
-    alternating sum, so both agree bit for bit (an exact zero is +0.0 in
-    both).  Non-finite or huge
-    evaluations fall back to :func:`coupling_eval_explicit` per subset, which
-    keeps its values and errors exactly.
-    """
+    subset bitmask (the order of :func:`subsets`): one evaluation per subset,
+    then :func:`exact.subset_mobius`, bit for bit the values of
+    :func:`coupling_eval_explicit`.  A non-finite evaluation sends every
+    subset to that explicit path, which keeps its values and errors."""
     inputs = tuple(inputs)
     check_size_cap(inputs, max_size)
     values = [float(oracle.evaluate(x, subset)) for subset in subsets(inputs)]
-    if not all(abs(v) < _EXACT_MAGNITUDE_LIMIT for v in values):  # also catches inf, nan
+    if not all(map(math.isfinite, values)):
         return [coupling_eval_explicit(oracle, x, subset, max_size) for subset in subsets(inputs)]
-    grid, shift = dyadic_grid(values)
-    size = len(grid)
-    bit = 1
-    while bit < size:
-        for block in range(0, size, 2 * bit):
-            for mask in range(block + bit, block + 2 * bit):
-                grid[mask] -= grid[mask - bit]
-        bit *= 2
-    scale = 1 << shift
-    return [g / scale for g in grid]
+    return subset_mobius(values)
 
 
 @dataclass(frozen=True)
@@ -285,8 +242,8 @@ def recompose(
     inputs = tuple(inputs)
     check_size_cap(inputs, max_size)
     if isinstance(source, CouplingFamily):
-        return math.fsum(source.component(x, subset) for subset in subsets(inputs))
-    return math.fsum(coupling_components(source, x, inputs, max_size))
+        return exact_sum([source.component(x, subset) for subset in subsets(inputs)])
+    return exact_sum(coupling_components(source, x, inputs, max_size))
 
 
 def coupling_family_check(

@@ -11,14 +11,13 @@ checks can use exact float comparisons.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Sequence
 
+from .exact import exact_sum
 from .report import CheckReport
-from .spec import spec_number
+from .spec import short_repr, spec_number
 
 
 def sample_dyadic(rng: random.Random, lo: float = -2.0, hi: float = 2.0, denom: int = 64) -> float:
@@ -47,20 +46,11 @@ class WeightMonoid:
     parse: Callable[[Any], Any] = field(default=lambda raw: raw)
 
 
-def _exact_sum(weights: Sequence[float]) -> float:
-    """The correctly rounded sum of finite floats, whatever their order.
-    Raises OverflowError when the sum is beyond the float range."""
-    try:
-        return math.fsum(weights)
-    except OverflowError:  # a partial sum left the float range; the total may not have
-        return float(sum(map(Fraction, weights)))
-
-
 def _parse_number(name: str, minimum: float) -> Callable[[Any], float]:
     def parse(raw: Any) -> float:
         w = spec_number(raw)
         if not w >= minimum:
-            raise ValueError(f"monoid {name} expects a number >= {minimum}, got {raw!r}")
+            raise ValueError(f"monoid {name} expects a number >= {minimum}, got {short_repr(raw)}")
         return w
 
     return parse
@@ -71,7 +61,7 @@ def make_additive_real() -> WeightMonoid:
     dyadics so that the monoid laws hold bit-exactly on sampled values."""
     return WeightMonoid(
         name="additive_real",
-        combine=_exact_sum,
+        combine=exact_sum,
         zero=0.0,
         sample=sample_dyadic,
         parse=spec_number,
@@ -83,7 +73,7 @@ def make_additive_positive() -> WeightMonoid:
     weights that can never cancel back to zero."""
     return WeightMonoid(
         name="additive_positive",
-        combine=_exact_sum,
+        combine=exact_sum,
         zero=0.0,
         sample=lambda rng: sample_dyadic(rng, 1.0 / 64.0, 2.0),
         parse=_parse_number("additive_positive", minimum=0.0),
@@ -92,7 +82,7 @@ def make_additive_positive() -> WeightMonoid:
 
 def _parse_bool(raw: Any) -> bool:
     if not isinstance(raw, bool):
-        raise ValueError(f"monoid bool_or expects a boolean, got {raw!r}")
+        raise ValueError(f"monoid bool_or expects a boolean, got {short_repr(raw)}")
     return raw
 
 
@@ -118,7 +108,7 @@ def monoid_by_name(name: str) -> WeightMonoid:
     try:
         return BUILTIN_MONOIDS[name]()
     except KeyError:
-        raise ValueError(f"unknown monoid id {name!r}") from None
+        raise ValueError(f"unknown monoid id {short_repr(name)}") from None
 
 
 # Maps (target type, source type) -> monoid for the weights on such edges.

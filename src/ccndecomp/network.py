@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 from .monoid import MonoidRegistry, WeightMonoid, monoid_by_name
 from .oracle import NeighborInput, OracleComponent
-from .spec import SpecFormatError, list_of, spec_field, spec_int, spec_object
+from .spec import SpecFormatError, list_of, short_repr, spec_field, spec_int, spec_object, spec_str
 
 
 class DivergenceError(RuntimeError):
@@ -84,7 +84,8 @@ def parse_network(doc: dict) -> Network:
     """
     for key in spec_object(doc, "network spec"):
         if key not in _KEYS:
-            raise SpecFormatError(f"network spec: unknown key {key!r}, expected one of {_KEYS}")
+            raise SpecFormatError(
+                f"network spec: unknown key {short_repr(key)}, expected one of {_KEYS}")
 
     type_ids: set[int] = set()
     for i, t in enumerate(spec_field(doc, "network spec", "types", list_of())):
@@ -103,12 +104,12 @@ def parse_network(doc: dict) -> Network:
     type_of: dict[str, int] = {}
     for i, entry in enumerate(spec_field(doc, "network spec", "cells", list_of())):
         where = f"cells[{i}]"
-        cid = spec_field(entry, where, "id", str)
+        cid = spec_field(entry, where, "id", spec_str)
         if cid in type_of:
-            raise SpecFormatError(f"duplicate cell id {cid!r}")
+            raise SpecFormatError(f"duplicate cell id {short_repr(cid)}")
         t = spec_field(entry, where, "type", spec_int)
         if t not in type_ids:
-            raise SpecFormatError(f"cell {cid!r} has unknown type {t}")
+            raise SpecFormatError(f"cell {short_repr(cid)} has unknown type {t}")
         cells.append(cid)
         type_of[cid] = t
 
@@ -118,24 +119,24 @@ def parse_network(doc: dict) -> Network:
             i_s, j_s = key.split(",")
             pair = (spec_int(i_s), spec_int(j_s))
         except ValueError:
-            raise SpecFormatError(f"monoid key {key!r} is not 'target,source'") from None
+            raise SpecFormatError(f"monoid key {short_repr(key)} is not 'target,source'") from None
         if pair[0] not in type_ids or pair[1] not in type_ids:
-            raise SpecFormatError(f"monoid key {key!r} names an unknown type")
+            raise SpecFormatError(f"monoid key {short_repr(key)} names an unknown type")
         try:
-            registry[pair] = monoid_by_name(str(name))
+            registry[pair] = monoid_by_name(spec_str(name))
         except ValueError as exc:
-            raise SpecFormatError(f"monoids[{key!r}]: {exc}") from None
+            raise SpecFormatError(f"monoids[{short_repr(key)}]: {exc}") from None
 
     index = {cid: i for i, cid in enumerate(cells)}
     # bundles[c][d] = the parsed weights of the parallel edges d -> c
     bundles: list[dict[int, list]] = [{} for _ in cells]
     for i, edge in enumerate(spec_field(doc, "network spec", "edges", list_of(), default=[])):
         where = f"edges[{i}]"
-        to, frm = spec_field(edge, where, "to", str), spec_field(edge, where, "from", str)
+        to, frm = spec_field(edge, where, "to", spec_str), spec_field(edge, where, "from", spec_str)
         if "weight" not in edge:
             raise SpecFormatError(f"{where} is missing 'weight'")
         if to not in index or frm not in index:
-            raise SpecFormatError(f"{where} references unknown cell: {edge!r}")
+            raise SpecFormatError(f"{where} references unknown cell: {short_repr(edge)}")
         monoid = registry.get((type_of[to], type_of[frm]))
         if monoid is None:
             raise SpecFormatError(f"no monoid declared for type pair {(type_of[to], type_of[frm])}")
@@ -156,7 +157,8 @@ def parse_network(doc: dict) -> Network:
                 w = math.inf
             if not math.isfinite(w):
                 raise SpecFormatError(
-                    f"the edges from {cells[d]!r} to {cells[c]!r} combine to a non-finite weight")
+                    f"the edges from {short_repr(cells[d])} to {short_repr(cells[c])} combine "
+                    "to a non-finite weight")
             if w != monoid.zero:
                 kept.append((d, w))
         in_edges.append(tuple(kept))

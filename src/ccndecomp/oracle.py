@@ -24,9 +24,10 @@ from itertools import product
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .monoid import WeightMonoid, sample_dyadic
-from .multiindex import MultiIndex, apply_multiplicity, as_multiindex, norm
+from .multiindex import MultiIndex, apply_multiplicity, as_multiindex, iter_multiindices, norm
 from .report import CheckReport
-from .spec import SpecFormatError, list_of, spec_field, spec_int, spec_number, spec_object
+from .spec import (SpecFormatError, list_of, short_repr, spec_field, spec_int, spec_number,
+                   spec_object, spec_str)
 
 
 class NeighborInput(NamedTuple):
@@ -83,13 +84,7 @@ class OracleComponent:
     def order_bound(self) -> MultiIndex | None:
         """Entrywise bound on nonzero interaction orders, when known."""
         c = self.coeffs
-        if c is None:
-            return None
-        bound = [0] * self.n_types
-        for n in c:
-            for j, e in enumerate(n):
-                bound[j] = max(bound[j], e)
-        return tuple(bound)
+        return None if c is None else tuple(map(max, zip((0,) * self.n_types, *c)))
 
 
 @dataclass(frozen=True)
@@ -156,31 +151,18 @@ class BlackBoxOracle(OracleComponent):
 
 
 def to_fraction(value: Any) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (Fraction, int, str, float)):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise SpecFormatError(f"cannot read {value!r} as an exact rational")
+    raise SpecFormatError(f"cannot read {short_repr(value)} as an exact rational")
 
 
 def build_polynomial_single(
     coeffs: Mapping[int, Any], f0: Callable[[float], float] | None = None, target_type: int = 1
 ) -> PolynomialOracle:
-    """Single-type polynomial component with coefficient map degree -> a_n.
-
-    Degrees must be >= 1; the degree-0 term belongs in f0.
-    """
-    table: dict[MultiIndex, Fraction] = {}
-    for degree, a in coeffs.items():
-        d = int(degree)
-        if d < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {degree!r}")
-        frac = to_fraction(a)
-        if frac:
-            table[(d,)] = frac
-    return PolynomialOracle(target_type=target_type, n_types=1, f0=f0 or zero_f0, _coeffs=table)
+    """Single-type polynomial component with coefficient map degree -> a_n;
+    degrees must be >= 1, the degree-0 term belongs in f0."""
+    return build_polynomial_multi({(degree,): a for degree, a in coeffs.items()}, f0, n_types=1,
+                                  target_type=target_type)
 
 
 def build_polynomial_multi(
@@ -245,8 +227,6 @@ def build_nested(
     depth = len(outer_c)
     powers = [_poly_powers(row, depth) for row in inner_c]
     table: dict[MultiIndex, Fraction] = {}
-    from .multiindex import iter_multiindices
-
     for n_out in range(1, depth + 1):
         a = outer_c[n_out - 1]
         if not a:
@@ -441,9 +421,10 @@ def parse_f0(label: str) -> Callable[[float], float]:
         try:
             rate = spec_number(float(label.split(":", 1)[1]))
         except ValueError:
-            raise SpecFormatError(f"bad f0 rate in {label!r}") from None
+            raise SpecFormatError(f"bad f0 rate in {short_repr(label)}") from None
         return lambda x: rate * x
-    raise SpecFormatError(f"unknown f0 spec {label!r} (expected 'zero' or 'linear:<rate>')")
+    raise SpecFormatError(
+        f"unknown f0 spec {short_repr(label)} (expected 'zero' or 'linear:<rate>')")
 
 
 @dataclass(frozen=True)
@@ -485,8 +466,9 @@ class OracleSpec:
                     target_type=self.type_index,
                 )
         except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
-            raise SpecFormatError(f"bad params for family {self.family!r}: {exc}") from exc
-        raise SpecFormatError(f"unknown oracle family {self.family!r}")
+            raise SpecFormatError(
+                f"bad params for family {short_repr(self.family)}: {exc}") from exc
+        raise SpecFormatError(f"unknown oracle family {short_repr(self.family)}")
 
     def to_jsonable(self) -> dict:
         return {
@@ -511,9 +493,9 @@ def oracle_spec_from_json(doc: dict, where: str = "oracle spec") -> OracleSpec:
     """Parse and validate one spec; errors name ``where`` and the key."""
     spec = OracleSpec(
         type_index=spec_field(doc, where, "type_index", spec_int, default=1),
-        family=spec_field(doc, where, "family", str),
+        family=spec_field(doc, where, "family", spec_str),
         params=spec_field(doc, where, "params", spec_object, default={}),
-        f0=spec_field(doc, where, "f0", str, default="zero"),
+        f0=spec_field(doc, where, "f0", spec_str, default="zero"),
         n_types=spec_field(doc, where, "n_types", spec_int, default=0),
     )
     try:

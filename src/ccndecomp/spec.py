@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from typing import Any, Callable
 
 
@@ -18,11 +19,19 @@ class SpecFormatError(ValueError):
     """An input document is malformed."""
 
 
+# Error messages quote values through short_repr: a repr cut to a few dozen
+# characters per item, a few items per level and two levels, so that a
+# document-sized value still makes one short line.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 2
+short_repr = _SHORT.repr
+
+
 def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise SpecFormatError(f"repeated key {key!r}")
+            raise SpecFormatError(f"repeated key {short_repr(key)}")
         obj[key] = value
     return obj
 
@@ -62,12 +71,13 @@ def spec_field(entry: Any, where: str, key: str, convert: Callable[[Any], Any],
         spec_object(entry, where)
     if key not in entry:
         if default is _REQUIRED:
-            raise SpecFormatError(f"{where} is missing {key!r}")
+            raise SpecFormatError(f"{where} is missing {short_repr(key)}")
         return default
     try:
         return convert(entry[key])
     except (TypeError, ValueError, ArithmeticError):
-        raise SpecFormatError(f"{where}: bad {key!r} value {entry[key]!r}") from None
+        raise SpecFormatError(
+            f"{where}: bad {short_repr(key)} value {short_repr(entry[key])}") from None
 
 
 def spec_object(value: Any, where: str = "value") -> dict:
@@ -92,7 +102,7 @@ def spec_int(value: Any) -> int:
     Booleans and non-integral numbers such as 1.5 are refused, not
     truncated."""
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise SpecFormatError(f"{value!r} is not an integer")
+        raise SpecFormatError(f"{short_repr(value)} is not an integer")
     return int(value)
 
 
@@ -106,5 +116,12 @@ def spec_number(value: Any) -> float:
         except OverflowError:
             number = math.inf
     if not math.isfinite(number):
-        raise SpecFormatError(f"expected a finite number, got {value!r}")
+        raise SpecFormatError(f"expected a finite number, got {short_repr(value)}")
     return number
+
+
+def spec_str(value: Any) -> str:
+    """A JSON string; no other value is converted to one."""
+    if type(value) is not str:
+        raise SpecFormatError(f"expected a string, got {short_repr(value)}")
+    return value

@@ -24,7 +24,7 @@ from ccndecomp.basis import (
     oracle_from_basis,
     truncation_sequence,
 )
-from ccndecomp.coupling import CouplingFamily, SizeCapExceeded, exact_weighted_sum
+from ccndecomp.coupling import CouplingFamily, SizeCapExceeded
 from ccndecomp.monoid import make_additive_real, sample_dyadic
 from ccndecomp.oracle import (
     NeighborInput,
@@ -456,49 +456,6 @@ def test_cached_expansion_table_matches_fresh_enumeration():
             assert len(set(expansions)) == len(expansions)
             for big_m, numerator in zip(expansions, numerators):
                 assert Fraction(numerator, denominator) == fresh[big_m]
-
-
-NON_FINITE_VALUES = [
-    [1.0, math.inf, 2.5],
-    [-math.inf, 0.5],
-    [math.inf, -math.inf],
-    [math.nan, 1.0],
-    [math.inf, math.nan],
-]
-
-
-@pytest.mark.parametrize("values", NON_FINITE_VALUES)
-def test_exact_weighted_sum_non_finite_follows_fsum(values):
-    numerators, denominator = [3, -2, 5][: len(values)], 7
-
-    def outcome(fn):
-        try:
-            return fn().hex()
-        except ValueError as exc:
-            return type(exc)
-
-    want = outcome(lambda: math.fsum(n / denominator * v for n, v in zip(numerators, values)))
-    assert outcome(lambda: exact_weighted_sum(numerators, denominator, values)) == want
-
-
-def test_exact_weighted_sum_rounds_once():
-    rng = random.Random(41)
-    for _ in range(200):
-        size = rng.randint(0, 6)
-        values = [rng.choice((rng.uniform(-1, 1) * 2.0 ** rng.randint(-1070, 60), 0.0, -0.0))
-                  for _ in range(size)]
-        numerators = [rng.randint(-50, 50) for _ in values]
-        denominator = rng.randint(1, 720)
-        want = float(sum((Fraction(n, denominator) * Fraction(v)
-                          for n, v in zip(numerators, values)), Fraction(0)))
-        assert exact_weighted_sum(numerators, denominator, values).hex() == want.hex()
-    # an exact zero is +0.0
-    assert exact_weighted_sum([1, 1], 3, [-0.0, -0.0]).hex() == "0x0.0p+0"
-    assert exact_weighted_sum([1, -1], 1, [0.1, 0.1]).hex() == "0x0.0p+0"
-    # cancelling huge terms stay exact; a sum past the float range raises
-    assert exact_weighted_sum([3, -3, 1], 2, [1e308, 1e308, 0.5]) == 0.25
-    with pytest.raises(OverflowError):
-        exact_weighted_sum([3], 1, [1e308])
 
 
 def test_transform_with_infinite_evaluation_keeps_float_semantics():

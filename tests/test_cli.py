@@ -434,6 +434,7 @@ MALFORMED_NETWORKS = [
      "edges[0]: bad 'weight': expected a finite number, got inf"),
     ("parallel_overflow", _decay_net(edges=[{"to": "u", "from": "u", "weight": 1e308}] * 2),
      "the edges from 'u' to 'u' combine to a non-finite weight"),
+    ("cell_id_number", _decay_net(cells=[{"id": 7, "type": 1}]), "cells[0]: bad 'id' value 7"),
 ]
 
 
@@ -493,6 +494,16 @@ def test_simulate_malformed_x0_is_usage_error(run_cli, data_dir, tmp_path, doc, 
     assert f"{x0}: {message}" in proc.stderr
 
 
+def test_simulate_quotes_a_huge_x0_value_briefly(data_dir, tmp_path, capsys):
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps({"u": [0.0] * 20000}))
+    assert run(["simulate", data_dir / "net_decay.json", data_dir / "oracle_decay.json", x0,
+                "--dt", 0.1, "--steps", 1]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert f"{x0}: x0: bad 'u' value [0.0, " in err
+
+
 _POWER2 = {"family": "polynomial", "params": {"coeffs": {"2": "1"}}}
 
 MALFORMED_ORACLES = [
@@ -540,6 +551,7 @@ MALFORMED_ORACLE_VALUES = [
      "oracle spec: bad params for family 'symmetric_power': params: bad 'n' value 1.5"),
     ("inner_not_rows", {"family": "nested", "params": {"outer": [1], "inner": [1]}},
      "oracle spec: bad params for family 'nested': params: bad 'inner' value [1]"),
+    ("family_number", dict(_POWER2, family=7), "oracle spec: bad 'family' value 7"),
 ]
 
 
@@ -552,6 +564,45 @@ def test_malformed_oracle_value_names_its_key(run_cli, data_dir, tmp_path, doc, 
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{oracle}: {message}" in proc.stderr
+
+
+def _poly(coeffs):
+    return {"family": "polynomial", "params": {"coeffs": coeffs}}
+
+
+def _point(*entries):
+    return {"points": [{"x": 0.0, "neighborhood": [
+        {"type": 1, "weight": weight, "state": state} for weight, state in entries]}]}
+
+
+# A computed value beyond the float range: (oracle, points or None for verify, message).
+OVERFLOWS = [
+    # the exact k=(2) component is -2e308
+    ("component", _poly({"2": "1e308"}), _point((1, 1), (1, -1)),
+     "point 0: integer division result too large for a float"),
+    # 300! in the closed-form coupling family
+    ("closed_form", _poly({"300": 1}), None, "int too large to convert to float"),
+    # (1e200)^300 in the evaluation
+    ("evaluation", _poly({"300": 1}), _point((1e200, 1)), "point 0: (34, "),
+]
+
+
+@pytest.mark.parametrize("oracle_doc,points_doc,message", [o[1:] for o in OVERFLOWS],
+                         ids=[o[0] for o in OVERFLOWS])
+def test_arithmetic_overflow_is_usage_error(run_cli, data_dir, tmp_path, oracle_doc, points_doc,
+                                            message):
+    oracle, points = tmp_path / "oracle.json", tmp_path / "points.json"
+    oracle.write_text(json.dumps(oracle_doc))
+    if points_doc is None:
+        proc = run_cli("verify", data_dir / "net_single.json", oracle, "--trials", 5)
+    else:
+        points.write_text(json.dumps(points_doc))
+        proc = run_cli("decompose", oracle, "--points", points)
+        message = f"{points}: {message}"
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 # Files every reader refuses while decoding: (name, contents, message).

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from ccndecomp.coupling import (
     recompose,
     subsets,
 )
-from ccndecomp.cli import _decompose_point
+from ccndecomp.cli import _decompose_point, main
 from ccndecomp.monoid import make_additive_real, make_bool_or
 from ccndecomp.multiindex import iter_multiindices, ones
 from ccndecomp.oracle import (
@@ -384,6 +385,8 @@ NON_FINITE = [
         if len(s) >= 2 else 1.0),
     ("nan", lambda x, s: math.nan if len(s) == 3 else 0.5),
     ("huge_finite", lambda x, s: 1.5e308 if len(s) % 2 else -1.5e308),
+    # fsum overflows in a partial sum from two inputs on; every component is +-1e308
+    ("cancelling_huge", lambda x, s: 1e308 if s else 0.0),
 ]
 
 
@@ -399,6 +402,30 @@ def test_coupling_components_non_finite_matches_explicit(fn):
     else:
         got = coupling_components(oracle, 0.0, inputs)
         assert all(same_outcome(a, b) for a, b in zip(got, expected)), (got, expected)
+
+
+def test_decompose_point_whose_partial_sums_overflow(tmp_path):
+    # The k=(2) component is 0 + 4.25e307 + 1.7e308 - 4.25e307: exactly 1.7e308,
+    # though the running sum passes the float range at the third term.
+    oracle_file, points_file, out = tmp_path / "o.json", tmp_path / "p.json", tmp_path / "r.json"
+    oracle_file.write_text(json.dumps({"family": "polynomial",
+                                       "params": {"coeffs": {"2": "-1.7e308"}}}))
+    points_file.write_text(json.dumps({"points": [{"x": 0.0, "neighborhood": [
+        {"type": 1, "weight": 1, "state": 0.5}, {"type": 1, "weight": 1, "state": -1.0}]}]}))
+    assert main(["decompose", str(oracle_file), "--points", str(points_file),
+                 "--out", str(out)]) == 0
+    point = json.loads(out.read_text())["points"][0]
+    oracle = build_polynomial_single({2: Fraction("-1.7e308")})
+    family = CouplingFamily.from_polynomial(oracle)
+    inputs = (NI(1, 1.0, 0.5), NI(1, 1.0, -1.0))
+    want = []
+    for subset in reference_subsets(inputs)[1:]:
+        exact = sum((Fraction(oracle.evaluate(0.0, sub)) * (-1) ** (len(subset) - len(sub))
+                     for sub in reference_subsets(subset)), Fraction(0))
+        assert family.component(0.0, subset) == float(exact)
+        want.append(float(exact))
+    assert point["components"] == [{"k": [1], "values": want[:2]}, {"k": [2], "values": [1.7e308]}]
+    assert want[2] == 1.7e308
 
 
 def test_coupling_components_recompose_and_cap():

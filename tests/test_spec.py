@@ -4,6 +4,7 @@ message starts with the file's path, and raises nothing else."""
 
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,28 @@ def test_load_refuses_mutated_files_with_spec_errors(data_dir, tmp_path_factory,
             assert str(exc).startswith(f"{path}: ")
 
     check()
+
+
+_NET = {"types": [{"id": 1}], "monoids": {"1,1": "additive_real"},
+        "cells": [{"id": "u", "type": 1}], "edges": [{"to": "u", "from": "u", "weight": 0.5}]}
+_ORACLE = {"family": "polynomial", "params": {"coeffs": {"2": "1"}}}
+
+# A string field given another JSON value: (parse, document, message).
+NON_STRINGS = [
+    (parse_network, dict(_NET, edges=[{"to": ["u"], "from": "u", "weight": 0.5}]),
+     "edges[0]: bad 'to' value ['u']"),
+    (parse_network, dict(_NET, edges=[{"to": "u", "from": 1, "weight": 0.5}]),
+     "edges[0]: bad 'from' value 1"),
+    (parse_network, dict(_NET, monoids={"1,1": 7}), "monoids['1,1']: expected a string, got 7"),
+    (oracle_specs_from_json, dict(_ORACLE, f0=["zero"]), "oracle spec: bad 'f0' value ['zero']"),
+]
+
+
+@pytest.mark.parametrize("parse,doc,message", NON_STRINGS,
+                         ids=["edge_to", "edge_from", "monoid_name", "f0"])
+def test_string_fields_take_only_strings(parse, doc, message):
+    with pytest.raises(SpecFormatError, match=re.escape(message)):
+        parse(doc)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
