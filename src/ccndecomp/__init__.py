@@ -16,18 +16,15 @@ from .basis import (
 )
 from .coupling import (
     CouplingFamily,
-    OrderReport,
     SizeCapExceeded,
     coupling_eval_explicit,
     coupling_family_check,
-    coupling_order,
     locally_maximal_orders,
     recompose,
 )
 from .monoid import (
     MonoidRegistry,
     WeightMonoid,
-    check_laws,
     make_additive_positive,
     make_additive_real,
     make_bool_or,

@@ -38,7 +38,6 @@ from .oracle import (
     expand,
     type_multiindex,
     within_tolerance,
-    zero_f0,
 )
 from .report import CheckReport
 from .stirling import coefficient_c, stirling1, stirling2
@@ -99,60 +98,6 @@ class BasisFamily:
             support_bound=oracle.order_bound,
             component=component,
         )
-
-    @classmethod
-    def symmetric_power(
-        cls,
-        n: int,
-        k: int,
-        f0: Callable[[float], float] | None = None,
-        target_type: int = 1,
-    ) -> "BasisFamily":
-        """Single-type basis family (n-k)! k! * prod(w_c) * e_k(states) at
-        order n, matching the (sum w)^(n-k) (sum w x)^k component."""
-        if k < 1 or k > n:
-            raise ValueError(f"symmetric power requires n >= k > 0, got n={n}, k={k}")
-        f0 = f0 or zero_f0
-        scale = math.factorial(n - k) * math.factorial(k)
-
-        def component(x: float, inputs: CellSpec) -> float:
-            if not inputs:
-                return f0(x)
-            if len(inputs) != n:
-                return 0.0
-            value = scale
-            for e in inputs:
-                value *= e.weight
-            return value * elementary_symmetric([e.state for e in inputs], k)
-
-        return cls(target_type=target_type, n_types=1, support_bound=(n,), component=component)
-
-    @classmethod
-    def from_coupling(cls, family: CouplingFamily) -> "BasisFamily":
-        """Generic basis family evaluated through the first-kind transform of
-        a finite-order coupling family."""
-
-        def component(x: float, inputs: CellSpec) -> float:
-            return basis_from_coupling(family, x, inputs)
-
-        return cls(
-            target_type=family.target_type,
-            n_types=family.n_types,
-            support_bound=_require_bound(family),
-            component=component,
-        )
-
-
-def elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """k-th elementary symmetric polynomial; values are sorted first so the
-    result does not depend on input order."""
-    if k < 0 or k > len(values):
-        return 0.0
-    table = [1.0] + [0.0] * k
-    for v in sorted(values):
-        for i in range(min(k, len(values)), 0, -1):
-            table[i] += table[i - 1] * v
-    return table[k]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .coupling import (
     check_size_cap,
     coupling_components,
     coupling_family_check,
-    coupling_order,
     locally_maximal_orders,
     subsets,
 )
@@ -31,13 +30,16 @@ from .oracle import (
     CellSpec,
     NeighborInput,
     OracleComponent,
-    PolynomialOracle,
     admissibility_check,
     oracle_specs_from_json,
     type_multiindex,
 )
 from .spec import SpecFormatError, list_of, load, spec_field, spec_int, spec_number, spec_object
 from .stirling import identity_report, table
+
+# How verify and decompose refuse an ArithmeticError or a non-finite value,
+# after the file and the entry it came from.
+_BEYOND_FLOAT_RANGE = "a computed value is beyond the float range"
 
 
 def _parse_x0(doc, cells: list[str]) -> dict[str, float]:
@@ -98,46 +100,49 @@ class _PointMemo(OracleComponent):
         return value
 
 
+def _check_oracle(oracle: OracleComponent, monoids, args) -> dict:
+    """The property reports of one component: admissibility, its coupling
+    family and, when it has coefficients, its basis family."""
+    family_trials = min(args.trials, 1000)
+    reports = {"admissibility": admissibility_check(oracle, monoids, trials=args.trials,
+                                                    seed=args.seed, tol=args.tol)}
+    if oracle.coeffs is not None:
+        fam = CouplingFamily.from_polynomial(oracle)
+    else:
+        fam = CouplingFamily.from_oracle(oracle)
+    reports["coupling_family"] = coupling_family_check(
+        fam, monoids, trials=family_trials, seed=args.seed, tol=args.tol)
+    if oracle.coeffs is not None:
+        bf = BasisFamily.polynomial(
+            oracle.coeffs, n_types=oracle.n_types, f0=oracle.f0, target_type=oracle.target_type
+        )
+        reports["basis_family"] = basis_family_check(
+            bf, monoids, trials=family_trials, seed=args.seed, tol=args.tol)
+    return reports
+
+
 def cmd_verify(args) -> int:
     if not 0 <= args.tol < math.inf:
         print(f"error: --tol must be non-negative and finite, got {args.tol}", file=sys.stderr)
         return 2
     net = load(args.network, parse_network)
     specs = load(args.oracle, oracle_specs_from_json)
-    family_trials = min(args.trials, 1000)
     results = []
     all_ok = True
-    for spec in specs:
+    for i, spec in enumerate(specs):
         oracle = spec.build()
         try:
             monoids = [net.monoid_for(spec.type_index, j + 1) for j in range(oracle.n_types)]
         except SpecFormatError as exc:
             raise SpecFormatError(f"oracle for type {spec.type_index}: {exc}") from exc
-        adm = admissibility_check(oracle, monoids, trials=args.trials, seed=args.seed, tol=args.tol)
-        if isinstance(oracle, PolynomialOracle):
-            fam = CouplingFamily.from_polynomial(oracle)
-        else:
-            fam = CouplingFamily.from_oracle(oracle)
-        fam_report = coupling_family_check(
-            fam, monoids, trials=family_trials, seed=args.seed, tol=args.tol
-        )
-        entry = {
-            "oracle": spec.to_jsonable(),
-            "admissibility": adm.to_jsonable(),
-            "coupling_family": fam_report.to_jsonable(),
-        }
-        ok = adm.ok and fam_report.ok
-        if isinstance(oracle, PolynomialOracle):
-            bf = BasisFamily.polynomial(
-                oracle.coeffs, n_types=oracle.n_types, f0=oracle.f0, target_type=oracle.target_type
-            )
-            basis_report = basis_family_check(
-                bf, monoids, trials=family_trials, seed=args.seed, tol=args.tol
-            )
-            entry["basis_family"] = basis_report.to_jsonable()
-            ok = ok and basis_report.ok
+        try:
+            reports = _check_oracle(oracle, monoids, args)
+        except ArithmeticError:
+            raise OverflowError(f"{args.oracle}: oracles[{i}]: {_BEYOND_FLOAT_RANGE}") from None
+        entry = {name: report.to_jsonable() for name, report in reports.items()}
+        entry["oracle"] = spec.to_jsonable()
         results.append(entry)
-        all_ok = all_ok and ok
+        all_ok = all_ok and all(report.ok for report in reports.values())
     _write({"results": results, "summary": {"ok": all_ok}}, args.out)
     return 0 if all_ok else 1
 
@@ -145,7 +150,8 @@ def cmd_verify(args) -> int:
 def _decompose_point(oracle, x, inputs, to, bound):
     """Components at every nonempty subset of one point, grouped by type
     multi-index in increasing bitmask order.  Coupling costs 2^n oracle
-    evaluations; basis costs one per distinct multiplicity vector."""
+    evaluations; basis costs one per distinct multiplicity vector.  A
+    non-finite value raises ``OverflowError``."""
     if to == "coupling":
         values = coupling_components(oracle, x, inputs)
         internal = values[0]  # the empty subset: the isolated-cell response
@@ -154,6 +160,8 @@ def _decompose_point(oracle, x, inputs, to, bound):
         values = [basis_from_oracle_direct(memo, bound, x, subset) if subset else None
                   for subset in subsets(inputs)]
         internal = oracle.f0(x)
+    if not all(map(math.isfinite, [internal, *values[1:]])):
+        raise OverflowError("a component value is not finite")
     groups: dict[tuple, list] = {}
     for subset, value in zip(subsets(inputs), values):
         if subset:
@@ -208,18 +216,14 @@ def cmd_decompose(args) -> int:
     for i, (x, inputs) in enumerate(parsed):
         try:
             points.append(_decompose_point(oracle, x, inputs, args.to, bound))
-        except ArithmeticError as exc:  # a value beyond the float range
-            raise type(exc)(f"{args.points}: point {i}: {exc}") from None
+        except ArithmeticError:
+            raise OverflowError(f"{args.points}: point {i}: {_BEYOND_FLOAT_RANGE}") from None
 
     report = {"oracle": specs[0].to_jsonable(), "to": args.to, "points": points}
     if oracle.coeffs is not None:
-        fam = CouplingFamily.from_polynomial(oracle)
-        report["coupling_order"] = {
-            str(j + 1): coupling_order(fam, j + 1).order for j in range(oracle.n_types)
-        }
-        report["locally_maximal_orders"] = sorted(
-            [list(k) for k in locally_maximal_orders(fam)]
-        )
+        # the interaction orders are read off the coefficient keys
+        report["coupling_order"] = {str(j + 1): b for j, b in enumerate(oracle.order_bound)}
+        report["locally_maximal_orders"] = sorted(map(list, locally_maximal_orders(oracle.coeffs)))
     if bound is not None:
         report["bound"] = list(bound)
     _write(report, args.out)
@@ -255,6 +259,8 @@ def cmd_simulate(args) -> int:
     x0 = load(args.x0, lambda doc: _parse_x0(doc, net.cells))
     try:
         trajectory = integrate_rk4(net, oracles, x0, args.dt, args.steps)
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"{args.oracle}: {exc}") from None
     except DivergenceError as exc:
         _write({"error": "divergence", "step": exc.step}, args.out)
         return 1

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import exact_sum, subset_mobius
-from .monoid import WeightMonoid, sample_dyadic
-from .multiindex import MultiIndex, iter_multiindices, norm, ones, zero_pattern, zeros
+from .monoid import WeightMonoid
+from .multiindex import MultiIndex, iter_multiindices, ones, zero_pattern
 from .oracle import (
     CellSpec,
     NeighborhoodCheck,
@@ -118,15 +117,13 @@ class CouplingFamily:
 
     ``component(x, inputs)`` evaluates the component indexed by the type
     multi-index of ``inputs`` at those concrete weights/states.  When the
-    family has known finite support, ``order_bound`` bounds it entrywise and
-    ``support`` lists the multi-indexes of (potentially) nonzero components.
+    family has known finite support, ``order_bound`` bounds it entrywise.
     """
 
     target_type: int
     n_types: int
     component: Callable[[float, CellSpec], float]
     order_bound: MultiIndex | None = None
-    support: frozenset[MultiIndex] | None = None
 
     @classmethod
     def from_oracle(cls, oracle: OracleComponent) -> "CouplingFamily":
@@ -135,14 +132,11 @@ class CouplingFamily:
         def component(x: float, inputs: CellSpec) -> float:
             return coupling_eval_explicit(oracle, x, inputs)
 
-        coeffs = oracle.coeffs
-        support = None if coeffs is None else polynomial_coupling_support(coeffs.keys())
         return cls(
             target_type=oracle.target_type,
             n_types=oracle.n_types,
             component=component,
             order_bound=oracle.order_bound,
-            support=support,
         )
 
     @classmethod
@@ -206,7 +200,6 @@ class CouplingFamily:
             n_types=n_types,
             component=component,
             order_bound=oracle.order_bound,
-            support=polynomial_coupling_support(coeffs.keys()),
         )
 
 
@@ -215,20 +208,6 @@ def _compositions(k: int, n: int) -> tuple[MultiIndex, ...]:
     """Compositions of n into k positive parts (k <= n), in the order of
     :func:`iter_multiindices`."""
     return tuple(iter_multiindices(k, ones(k), norm_equals=n))
-
-
-def polynomial_coupling_support(coeff_keys: Iterable[MultiIndex]) -> frozenset[MultiIndex]:
-    """Multi-indexes of nonzero coupling components of a polynomial family:
-    every k sharing a zero pattern with a coefficient key n and k <= n.
-    The zero index (isolated-cell term) is always included."""
-    support: set[MultiIndex] = set()
-    keys = list(coeff_keys)
-    if keys:
-        support.add(zeros(len(keys[0])))
-    for n_vec in keys:
-        lower = tuple(1 if e else 0 for e in n_vec)
-        support.update(iter_multiindices(len(n_vec), lower, upper=n_vec))
-    return frozenset(support)
 
 
 def recompose(
@@ -282,85 +261,13 @@ def coupling_family_check(
     return check.run(probe)
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    """Result of interaction-order analysis along one type axis.
-
-    ``kind`` is "finite" (with ``order`` set), "infinite_evidence" (nonzero
-    components observed at the probe horizon) or "unknown" (sampling found
-    nothing past ``probed_nonzero`` but cannot certify absence).
-    """
-
-    kind: str
-    order: int | None = None
-    probed_nonzero: int = 0
-
-
-def coupling_order(
-    family: CouplingFamily,
-    type_index: int,
-    probe_budget: int = 8,
-    samples: int = 4,
-    seed: int = 0,
-) -> OrderReport:
-    """Largest count of type-``type_index`` inputs appearing in any nonzero
-    component.
-
-    Structured families answer exactly from their support.  Black-box-backed
-    families are probed at random points: a declared ``order_bound`` makes a
-    finite answer sound (largest order with an observed nonzero component);
-    without one, only evidence is reported, never a false "finite".
-    """
-    j = type_index - 1
-    if not 0 <= j < family.n_types:
-        raise ValueError(f"type index {type_index} out of range 1..{family.n_types}")
-    if family.support is not None:
-        gamma = max((k[j] for k in family.support), default=0)
-        return OrderReport(kind="finite", order=gamma, probed_nonzero=gamma)
-
-    rng = random.Random(seed)
-
-    def observed_nonzero(k: int) -> bool:
-        for _ in range(samples):
-            inputs = tuple(
-                NeighborInput(type_index, sample_dyadic(rng, 0.25, 2.0), sample_dyadic(rng, 0.25, 2.0))
-                for _ in range(k)
-            )
-            if abs(family.component(sample_dyadic(rng), inputs)) > 1e-12:
-                return True
-        return False
-
-    if family.order_bound is not None:
-        top = family.order_bound[j]
-        for k in range(top, 0, -1):
-            if observed_nonzero(k):
-                return OrderReport(kind="finite", order=k, probed_nonzero=k)
-        return OrderReport(kind="finite", order=0, probed_nonzero=0)
-
-    last_nonzero = 0
-    for k in range(1, probe_budget + 1):
-        if observed_nonzero(k):
-            last_nonzero = k
-    if last_nonzero == probe_budget:
-        return OrderReport(kind="infinite_evidence", probed_nonzero=last_nonzero)
-    return OrderReport(kind="unknown", probed_nonzero=last_nonzero)
-
-
-def locally_maximal_orders(family: CouplingFamily) -> set[MultiIndex]:
-    """Support indexes with no strictly larger nonzero index sharing their
-    zero pattern.  Requires known finite support."""
-    if family.support is None:
-        raise ValueError("locally maximal orders require a family with known finite support")
-    nonzero = [k for k in family.support if norm(k) > 0]
-    out: set[MultiIndex] = set()
-    for k in nonzero:
-        pattern = zero_pattern(k)
-        dominated = any(
-            other != k
-            and zero_pattern(other) == pattern
-            and all(a <= b for a, b in zip(k, other))
-            for other in nonzero
-        )
-        if not dominated:
-            out.add(k)
-    return out
+def locally_maximal_orders(coeff_keys: Iterable[MultiIndex]) -> set[MultiIndex]:
+    """Nonzero interaction orders of a polynomial family with no larger
+    nonzero order sharing their zero pattern.  Its nonzero coupling
+    components sit at every k <= n sharing a zero pattern with a coefficient
+    key n, so these are the nonzero keys that no other key with the same
+    zero pattern dominates entrywise."""
+    keys = {k for k in coeff_keys if any(k)}
+    return {k for k in keys
+            if not any(other != k and zero_pattern(other) == zero_pattern(k)
+                       and all(map(int.__le__, k, other)) for other in keys)}

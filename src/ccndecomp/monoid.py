@@ -5,8 +5,8 @@ A weight monoid packs the parallel-composition operation, its identity (the
 weights from JSON.  ``combine`` takes a whole bundle of parallel weights at
 once, and every shipped monoid combines a bundle independently of its order:
 the additive ones sum it exactly and round once, ``bool_or`` ORs it.  The
-sampler draws dyadic rationals for the real-valued instances so that law
-checks can use exact float comparisons.
+sampler draws dyadic rationals for the real-valued instances so that the
+property checks can use exact float comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .exact import exact_sum
-from .report import CheckReport
 from .spec import short_repr, spec_number
 
 
@@ -34,9 +33,8 @@ class WeightMonoid:
 
     ``combine`` maps a sequence of weights to their parallel combination; on
     pairs it must be commutative and associative with ``zero`` as the
-    identity, which :func:`check_laws` probes on random samples.  ``parse``
-    turns a JSON weight into the canonical weight value, raising
-    ``ValueError`` for a value outside the monoid.
+    identity.  ``parse`` turns a JSON weight into the canonical weight value,
+    raising ``ValueError`` for a value outside the monoid.
     """
 
     name: str
@@ -114,25 +112,3 @@ def monoid_by_name(name: str) -> WeightMonoid:
 # Maps (target type, source type) -> monoid for the weights on such edges.
 MonoidRegistry = dict[tuple[int, int], WeightMonoid]
 
-
-def check_laws(m: WeightMonoid, trials: int, seed: int) -> CheckReport:
-    """Probe commutativity, associativity and the identity law on ``trials``
-    random samples.  Deterministic for a given seed; the first counterexample
-    per law is recorded and that law is not probed further."""
-    report = CheckReport.start(f"{m.name}_laws", ("commutative", "associative", "identity"),
-                               trials, seed)
-    checks = report.checks
-    rng = random.Random(seed)
-    for _ in range(trials):
-        a, b, c = m.sample(rng), m.sample(rng), m.sample(rng)
-        if checks["commutative"] and m.combine((a, b)) != m.combine((b, a)):
-            report.record("commutative", a=a, b=b)
-        if checks["associative"] and (
-            m.combine((m.combine((a, b)), c)) != m.combine((a, m.combine((b, c))))
-        ):
-            report.record("associative", a=a, b=b, c=c)
-        if checks["identity"] and m.combine((m.zero, a)) != a:
-            report.record("identity", a=a)
-        if not any(checks.values()):
-            break
-    return report

@@ -67,33 +67,24 @@ def iter_multiindices(
     *,
     norm_equals: int | None = None,
     norm_at_most: int | None = None,
-    upper: Sequence[int] | None = None,
 ) -> Iterator[MultiIndex]:
     """Enumerate k-tuples ``m >= lower`` under exactly one constraint.
 
-    Constraints: ``norm_equals`` (|m| = n), ``norm_at_most`` (|m| <= n) or
-    ``upper`` (entrywise m <= upper).  Yields every solution exactly once in
-    ascending lexicographic order; lazy, so callers can stop early.  The
-    stream is empty when the constraint is infeasible, and the 0-tuple is a
-    valid value for k = 0.
+    Constraints: ``norm_equals`` (|m| = n) or ``norm_at_most`` (|m| <= n).
+    Yields every solution exactly once in ascending lexicographic order;
+    lazy, so callers can stop early.  The stream is empty when the
+    constraint is infeasible, and the 0-tuple is a valid value for k = 0.
     """
-    given = [c is not None for c in (norm_equals, norm_at_most, upper)]
-    if sum(given) != 1:
-        raise ValueError("exactly one of norm_equals, norm_at_most, upper is required")
+    if (norm_equals is None) == (norm_at_most is None):
+        raise ValueError("exactly one of norm_equals, norm_at_most is required")
     lo = zeros(k) if lower is None else as_multiindex(lower)
     if len(lo) != k:
         raise DimensionMismatch(f"lower bound has tupleness {len(lo)}, expected {k}")
     if norm_equals is not None:
         if norm_equals >= 0:
             yield from _iter_fixed_norm(lo, norm_equals)
-    elif norm_at_most is not None:
-        if norm_at_most >= 0:
-            yield from _iter_norm_at_most(lo, norm_at_most)
-    else:
-        up = as_multiindex(upper)  # type: ignore[arg-type]
-        if len(up) != k:
-            raise DimensionMismatch(f"upper bound has tupleness {len(up)}, expected {k}")
-        yield from _iter_boxed(lo, up)
+    elif norm_at_most >= 0:
+        yield from _iter_norm_at_most(lo, norm_at_most)
 
 
 def _iter_fixed_norm(lower: MultiIndex, total: int) -> Iterator[MultiIndex]:
@@ -116,11 +107,3 @@ def _iter_norm_at_most(lower: MultiIndex, budget: int) -> Iterator[MultiIndex]:
         for tail in _iter_norm_at_most(lower[1:], budget - head):
             yield (head,) + tail
 
-
-def _iter_boxed(lower: MultiIndex, upper: MultiIndex) -> Iterator[MultiIndex]:
-    if not lower:
-        yield ()
-        return
-    for head in range(lower[0], upper[0] + 1):
-        for tail in _iter_boxed(lower[1:], upper[1:]):
-            yield (head,) + tail

@@ -193,12 +193,24 @@ def integrate_rk4(
 
     Returns steps+1 state snapshots including the initial one; raises
     :class:`DivergenceError` with the step index if any state goes
-    non-finite.
+    non-finite.  Before step 1, one pass over the edges refuses a component
+    that reads fewer input types than the types feeding one of its cells.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    cells, type_of = net.cells, net.type_of
+    for c, edges in enumerate(net.in_edges):
+        t = type_of[cells[c]]
+        oracle = oracles.get(t)
+        if oracle is None:  # evaluate_vector_field names the missing types
+            continue
+        for d, _ in edges:
+            if type_of[cells[d]] > oracle.n_types:
+                raise SpecFormatError(
+                    f"the component for type {t} reads {oracle.n_types} input type(s), but "
+                    f"cell {short_repr(cells[c])} has an in-edge from type {type_of[cells[d]]}")
     state = {c: float(x0[c]) for c in net.cells}
     trajectory = [dict(state)]
     for step in range(1, steps + 1):

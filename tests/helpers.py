@@ -11,6 +11,7 @@ from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from ccndecomp import (
+    BasisFamily,
     build_exponential,
     build_nested,
     build_polynomial_multi,
@@ -21,7 +22,7 @@ from ccndecomp import (
 )
 from ccndecomp.coupling import check_size_cap, subsets
 from ccndecomp.monoid import WeightMonoid
-from ccndecomp.multiindex import iter_multiindices, ones
+from ccndecomp.multiindex import MultiIndex, iter_multiindices, ones
 from ccndecomp.oracle import BlackBoxOracle, NeighborInput, OracleComponent, expand, zero_f0
 
 
@@ -176,6 +177,51 @@ def reference_closed_form_component(oracle):
         return math.fsum(terms)
 
     return component
+
+
+def reference_coupling_support(coeff_keys: Iterable[MultiIndex]) -> frozenset[MultiIndex]:
+    """Multi-indexes of the nonzero coupling components of a polynomial
+    family, by enumeration: every k sharing a zero pattern with a
+    coefficient key n and k <= n, plus the zero index of the isolated-cell
+    term when there is a key."""
+    support: set[MultiIndex] = set()
+    keys = list(coeff_keys)
+    if keys:
+        support.add((0,) * len(keys[0]))
+    for n_vec in keys:
+        support.update(product(*(range(1 if e else 0, e + 1) for e in n_vec)))
+    return frozenset(support)
+
+
+# --- symmetric-power basis reference ----------------------------------------
+
+def elementary_symmetric(values: Sequence[float], k: int) -> float:
+    """k-th elementary symmetric polynomial; values are sorted first so the
+    result does not depend on input order."""
+    if k < 0 or k > len(values):
+        return 0.0
+    table = [1.0] + [0.0] * k
+    for v in sorted(values):
+        for i in range(min(k, len(values)), 0, -1):
+            table[i] += table[i - 1] * v
+    return table[k]
+
+
+def symmetric_power_basis(n: int, k: int) -> BasisFamily:
+    """Single-type basis family (n-k)! k! * prod(w_c) * e_k(states) at
+    order n, matching the (sum w)^(n-k) (sum w x)^k component of
+    ``build_symmetric_power(n, k)``."""
+    scale = math.factorial(n - k) * math.factorial(k)
+
+    def component(x, inputs):
+        if len(inputs) != n:  # the isolated-cell term is zero too
+            return 0.0
+        value = scale
+        for e in inputs:
+            value *= e.weight
+        return value * elementary_symmetric([e.state for e in inputs], k)
+
+    return BasisFamily(target_type=1, n_types=1, support_bound=(n,), component=component)
 
 
 # --- recursive coupling reference -------------------------------------------

@@ -20,6 +20,9 @@ def load(path):
     return json.loads(path.read_text())
 
 
+BEYOND_FLOAT_RANGE = "a computed value is beyond the float range"
+
+
 @pytest.fixture(scope="session")
 def run_cli(tmp_path_factory):
     """Runs the CLI in a child process.  The children of one test session
@@ -368,10 +371,11 @@ def test_decompose_valid_bound_gives_the_basis_value(tmp_path, bound):
 
 
 def test_report_with_non_finite_value_is_refused(tmp_path, capsys):
+    # the cubic's evaluation overflows to inf without raising
     oracle, points = _cubic_files(tmp_path, dict(_entry(), weight=1e200, state=1e200))
     assert run(["decompose", oracle, "--points", points]) == 2
     out, err = capsys.readouterr()
-    assert "Out of range float values are not JSON compliant" in err and out == ""
+    assert f"{points}: point 0: {BEYOND_FLOAT_RANGE}" in err and out == ""
 
 
 GOLDEN_SIMULATE = [
@@ -394,6 +398,23 @@ def test_simulate_reports_match_golden(data_dir, tmp_path, net, oracle, x0, extr
                 "--out", out])
     assert code == 0
     assert out.read_bytes() == (data_dir / "golden" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("family,params", [("exponential", {}),
+                                           ("polynomial", {"coeffs": {"2": "1"}})],
+                         ids=["exponential", "polynomial"])
+def test_simulate_refuses_a_component_with_too_few_input_types(data_dir, tmp_path, capsys,
+                                                               family, params):
+    # cell c of type 1 has in-edges from the type-2 cells a and b
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps([{"type_index": t, "family": family, "params": params}
+                                  for t in (1, 2)]))
+    assert run(["simulate", data_dir / "net_twotype.json", oracle, data_dir / "x0_twotype.json",
+                "--dt", 0.1, "--steps", 1]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"{oracle}: the component for type 1 reads 1 input type(s), but cell 'c' has an "
+            "in-edge from type 2") in err
 
 
 def _decay_net(**changes):
@@ -575,30 +596,36 @@ def _point(*entries):
         {"type": 1, "weight": weight, "state": state} for weight, state in entries]}]}
 
 
-# A computed value beyond the float range: (oracle, points or None for verify, message).
+# A computed value beyond the float range: (oracle, job), the job being the
+# decompose points document or the verify trials and the index of the spec
+# that overflows.
 OVERFLOWS = [
     # the exact k=(2) component is -2e308
-    ("component", _poly({"2": "1e308"}), _point((1, 1), (1, -1)),
-     "point 0: integer division result too large for a float"),
+    ("component", _poly({"2": "1e308"}), _point((1, 1), (1, -1))),
     # 300! in the closed-form coupling family
-    ("closed_form", _poly({"300": 1}), None, "int too large to convert to float"),
-    # (1e200)^300 in the evaluation
-    ("evaluation", _poly({"300": 1}), _point((1e200, 1)), "point 0: (34, "),
+    ("closed_form", _poly({"300": 1}), (5, 0)),
+    # ... in the second spec of the file
+    ("closed_form_second_spec", [_POWER2, _poly({"300": 1})], (5, 1)),
+    # the fsum of three closed-form components in the merge-expansion check
+    ("fsum_partial_sum", _poly({"3": "1e306"}), (200, 0)),
+    # (1e200)^300 in the evaluation raises
+    ("evaluation", _poly({"300": 1}), _point((1e200, 1))),
 ]
 
 
-@pytest.mark.parametrize("oracle_doc,points_doc,message", [o[1:] for o in OVERFLOWS],
+@pytest.mark.parametrize("oracle_doc,job", [o[1:] for o in OVERFLOWS],
                          ids=[o[0] for o in OVERFLOWS])
-def test_arithmetic_overflow_is_usage_error(run_cli, data_dir, tmp_path, oracle_doc, points_doc,
-                                            message):
+def test_arithmetic_overflow_is_usage_error(run_cli, data_dir, tmp_path, oracle_doc, job):
     oracle, points = tmp_path / "oracle.json", tmp_path / "points.json"
     oracle.write_text(json.dumps(oracle_doc))
-    if points_doc is None:
-        proc = run_cli("verify", data_dir / "net_single.json", oracle, "--trials", 5)
+    if isinstance(job, tuple):
+        trials, i = job
+        proc = run_cli("verify", data_dir / "net_single.json", oracle, "--trials", trials)
+        message = f"{oracle}: oracles[{i}]: {BEYOND_FLOAT_RANGE}"
     else:
-        points.write_text(json.dumps(points_doc))
+        points.write_text(json.dumps(job))
         proc = run_cli("decompose", oracle, "--points", points)
-        message = f"{points}: {message}"
+        message = f"{points}: point 0: {BEYOND_FLOAT_RANGE}"
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr

@@ -11,15 +11,13 @@ from ccndecomp.coupling import (
     coupling_components,
     coupling_eval_explicit,
     coupling_family_check,
-    coupling_order,
     locally_maximal_orders,
-    polynomial_coupling_support,
     recompose,
     subsets,
 )
 from ccndecomp.cli import _decompose_point, main
 from ccndecomp.monoid import make_additive_real, make_bool_or
-from ccndecomp.multiindex import iter_multiindices, ones
+from ccndecomp.multiindex import iter_multiindices, ones, zero_pattern
 from ccndecomp.oracle import (
     BlackBoxOracle,
     NeighborInput,
@@ -36,6 +34,7 @@ from helpers import (
     finite_order_oracles,
     random_inputs,
     reference_closed_form_component,
+    reference_coupling_support,
     reference_subsets,
     shipped_oracles,
 )
@@ -198,7 +197,7 @@ def test_annihilator_excludes_finite_positive_order():
             return inputs[0].state if inputs[0].weight else 0.0
         return 0.0
 
-    family = CouplingFamily(1, 1, comp, order_bound=(1,), support=frozenset({(0,), (1,)}))
+    family = CouplingFamily(1, 1, comp, order_bound=(1,))
     report = coupling_family_check(family, [make_bool_or()], trials=300, seed=0)
     assert not report.checks["merge_expansion"]
     witness = next(c for c in report.counterexamples if c["property"] == "merge_expansion")
@@ -250,54 +249,52 @@ def test_top_order_component_is_weight_additive():
 
 def test_coupling_order_structured():
     for n in (1, 2, 5):
-        family = CouplingFamily.from_polynomial(build_polynomial_single({n: 1}))
-        report = coupling_order(family, 1)
-        assert report.kind == "finite" and report.order == n
-    additive = CouplingFamily.from_polynomial(build_polynomial_single({1: Fraction(1, 2)}))
-    assert coupling_order(additive, 1).order == 1
-    mixed = CouplingFamily.from_polynomial(
-        build_polynomial_multi({(1, 2): 1, (2, 1): 1}, n_types=2)
-    )
-    assert coupling_order(mixed, 1).order == 2
-    assert coupling_order(mixed, 2).order == 2
-
-
-def test_coupling_order_blackbox():
-    exp_family = CouplingFamily.from_oracle(build_exponential(None))
-    report = coupling_order(exp_family, 1, probe_budget=6)
-    assert report.kind == "infinite_evidence"
-    assert report.probed_nonzero == 6
-
-    # a black box with a declared bound gets a sound finite answer
-    p2 = build_polynomial_single({2: 1})
-    opaque = BlackBoxOracle(1, 1, zero_f0, lambda x, inputs: p2.evaluate(x, inputs) - p2.f0(x))
-    family = CouplingFamily(
-        1, 1, lambda x, inputs: coupling_eval_explicit(opaque, x, inputs), order_bound=(4,)
-    )
-    report = coupling_order(family, 1)
-    assert report.kind == "finite" and report.order == 2
+        assert build_polynomial_single({n: 1}).order_bound == (n,)
+    assert build_polynomial_single({1: Fraction(1, 2)}).order_bound == (1,)
+    mixed = build_polynomial_multi({(1, 2): 1, (2, 1): 1}, n_types=2)
+    assert mixed.order_bound == (2, 2)
+    assert build_exponential(None).order_bound is None
 
 
 def test_locally_maximal_orders():
-    power5 = CouplingFamily.from_polynomial(build_polynomial_single({5: 1}))
-    assert locally_maximal_orders(power5) == {(5,)}
-    axes = CouplingFamily.from_polynomial(
-        build_polynomial_multi({(2, 0): 1, (0, 3): 1}, n_types=2)
-    )
-    assert locally_maximal_orders(axes) == {(2, 0), (0, 3)}
-    empty = CouplingFamily.from_polynomial(build_polynomial_multi({}, n_types=2))
-    assert locally_maximal_orders(empty) == set()
-    unbounded = CouplingFamily.from_oracle(build_exponential(None))
-    with pytest.raises(ValueError):
-        locally_maximal_orders(unbounded)
+    assert locally_maximal_orders(build_polynomial_single({5: 1}).coeffs) == {(5,)}
+    assert locally_maximal_orders({(2, 0): 1, (0, 3): 1}) == {(2, 0), (0, 3)}
+    assert locally_maximal_orders({(1, 1): 1, (2, 1): 1, (1, 3): 1}) == {(2, 1), (1, 3)}
+    assert locally_maximal_orders({}) == set()
 
 
 def test_polynomial_coupling_support():
-    support = polynomial_coupling_support([(2, 0), (1, 1)])
+    support = reference_coupling_support([(2, 0), (1, 1)])
     assert (1, 0) in support and (2, 0) in support
     assert (1, 1) in support and (0, 0) in support
     assert (0, 1) not in support  # no key with that zero pattern
     assert (2, 1) not in support
+
+
+def _random_coeff_map(rng):
+    n_types = rng.randint(1, 3)
+    top = 2 if n_types == 3 else 3
+    keys = {tuple(rng.randint(0, top) for _ in range(n_types)) for _ in range(rng.randint(0, 4))}
+    return n_types, {k: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)) for k in keys if any(k)}
+
+
+def test_order_fields_are_the_maxima_of_the_coupling_support():
+    """decompose reads its two order fields off the coefficient keys; they
+    equal the maxima over the enumerated support of the nonzero coupling
+    components."""
+    rng = random.Random(30)
+    maps = [(n_types, {}) for n_types in (1, 2, 3)]
+    maps += [_random_coeff_map(rng) for _ in range(1200)]
+    for n_types, coeffs in maps:
+        oracle = build_polynomial_multi(coeffs, n_types=n_types)
+        support = reference_coupling_support(oracle.coeffs)
+        order = tuple(max((k[j] for k in support), default=0) for j in range(n_types))
+        assert oracle.order_bound == order, coeffs
+        nonzero = [k for k in support if any(k)]
+        maximal = {k for k in nonzero
+                   if not any(o != k and zero_pattern(o) == zero_pattern(k)
+                              and all(a <= b for a, b in zip(k, o)) for o in nonzero)}
+        assert locally_maximal_orders(oracle.coeffs) == maximal, coeffs
 
 
 def test_truncated_exponential_components_converge_to_product_form():

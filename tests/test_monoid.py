@@ -3,13 +3,10 @@ import random
 import pytest
 
 from ccndecomp.monoid import (
-    WeightMonoid,
-    check_laws,
     make_additive_positive,
     make_additive_real,
     make_bool_or,
     monoid_by_name,
-    sample_dyadic,
 )
 from helpers import make_free_parallel
 
@@ -20,8 +17,13 @@ from helpers import make_free_parallel
     ids=lambda f: f.__name__,
 )
 def test_shipped_monoids_pass_laws(make):
-    report = check_laws(make(), trials=10000, seed=0)
-    assert report.ok, report.counterexamples
+    m = make()
+    rng = random.Random(0)
+    for _ in range(10000):
+        a, b, c = m.sample(rng), m.sample(rng), m.sample(rng)
+        assert m.combine((a, b)) == m.combine((b, a)), (a, b)
+        assert m.combine((m.combine((a, b)), c)) == m.combine((a, m.combine((b, c)))), (a, b, c)
+        assert m.combine((m.zero, a)) == a, a
 
 
 def test_additive_real_basics():
@@ -52,37 +54,12 @@ def test_bool_or_annihilator():
     assert m.combine((False, True)) is True
 
 
-def test_broken_monoid_reports_commutativity_witness():
-    broken = WeightMonoid(
-        name="subtraction",
-        combine=lambda pair: pair[0] - pair[1],
-        zero=0.0,
-        sample=sample_dyadic,
-    )
-    report = check_laws(broken, trials=1000, seed=0)
-    assert not report.checks["commutative"]
-    witness = report.counterexamples[0]
-    assert witness["property"] == "commutative"
-    assert witness["a"] - witness["b"] != witness["b"] - witness["a"]
-
-
-def test_check_laws_is_deterministic():
-    a = check_laws(make_free_parallel(), trials=500, seed=42).to_jsonable()
-    b = check_laws(make_free_parallel(), trials=500, seed=42).to_jsonable()
-    assert a == b
-
-
 def test_monoid_by_name():
     assert monoid_by_name("additive_real").name == "additive_real"
     assert monoid_by_name("bool_or").name == "bool_or"
     for name in ("nope", "free_parallel"):
         with pytest.raises(ValueError):
             monoid_by_name(name)
-
-
-def test_check_laws_requires_trials():
-    with pytest.raises(ValueError):
-        check_laws(make_additive_real(), trials=0, seed=0)
 
 
 @pytest.mark.parametrize("make", [make_additive_real, make_additive_positive],

@@ -52,11 +52,6 @@ def test_enumerate_is_lexicographic_and_lazy():
     assert all(norm(m) == 2 for m in rest)
 
 
-def test_enumerate_boxed():
-    box = list(iter_multiindices(2, (1, 0), upper=(2, 1)))
-    assert box == [(1, 0), (1, 1), (2, 0), (2, 1)]
-
-
 def test_enumerate_requires_exactly_one_constraint():
     with pytest.raises(ValueError):
         list(iter_multiindices(2))

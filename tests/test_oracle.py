@@ -195,6 +195,12 @@ def test_admissibility_check_is_deterministic():
     assert a == b
 
 
+def test_checks_require_trials():
+    oracle, monoids = broken_merge_oracle()
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        admissibility_check(oracle, monoids, trials=0, seed=0)
+
+
 def test_checker_reports_match_golden(data_dir):
     text = json.dumps(checker_golden_reports(), sort_keys=True, indent=1) + "\n"
     assert text == (data_dir / "golden" / "checker_reports.json").read_text(encoding="utf-8")

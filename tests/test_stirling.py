@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_alternated_composition_sums():
         for big_m in iter_multiindices(k, norm_at_most=8):
             total1 = Fraction(0)
             total2 = Fraction(0)
-            for m in iter_multiindices(k, ones(k), upper=tuple(max(e, 1) for e in big_m)):
+            for m in product(*(range(1, max(e, 1) + 1) for e in big_m)):
                 p1 = Fraction(1)
                 p2 = Fraction(1)
                 for mi, bi in zip(m, big_m):
